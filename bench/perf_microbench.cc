@@ -110,8 +110,8 @@ BENCHMARK_CAPTURE(BM_KernelApply1q, avx2, kernels::Impl::Avx2)
 /**
  * Dense 4x4 apply on qubits (2, 5): lo = 4 exercises the
  * cache-blocked vectorized cell traversal, not the lo == 1 scalar
- * fallback. This is the kernel gate fusion leans on (fused runs
- * become MATRIX_2Q steps).
+ * fallback. This is the kernel MATRIX_2Q steps (coherent ZZ
+ * crosstalk) run on.
  */
 void
 BM_KernelApply2q(benchmark::State& state, kernels::Impl impl)
@@ -191,22 +191,14 @@ BM_TrajectoryBv(benchmark::State& state)
 BENCHMARK(BM_TrajectoryBv);
 
 /**
- * Full-noise trajectories over a CCX ladder, with gate fusion off
- * (fused:0) and on (fused:1). CCX decompositions are where fusion
- * engages under full noise — every top-level unitary is chased by
- * its own stochastic steps, so transpiled 1q/2q circuits fuse
- * nothing (see noise/fusion.cc) — making this the honest
- * fused-vs-unfused shots_per_sec comparison. The fused:0 row also
- * guards the acceptance bar that the default (fusion off) path did
- * not regress.
+ * Full-noise trajectories over a CCX ladder: each CCX decomposes to
+ * 15 unitary steps, each chased by its own stochastic steps.
  */
 void
 BM_TrajectoryCcx5(benchmark::State& state)
 {
     const Machine machine = makeIbmqx4();
-    TrajectoryOptions opt;
-    opt.fuseGates = state.range(0) != 0;
-    TrajectorySimulator backend(machine.noiseModel(), 18, opt);
+    TrajectorySimulator backend(machine.noiseModel(), 18);
     Circuit c(5);
     c.h(0).cx(0, 1).ccx(0, 1, 2).cx(2, 3).ccx(2, 3, 4).measureAll();
     constexpr std::size_t kShots = 1024;
@@ -219,7 +211,7 @@ BM_TrajectoryCcx5(benchmark::State& state)
         static_cast<double>(state.iterations() * kShots),
         benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_TrajectoryCcx5)->ArgName("fused")->Arg(0)->Arg(1);
+BENCHMARK(BM_TrajectoryCcx5);
 
 /**
  * The readout-only configuration the mitigation policies run in

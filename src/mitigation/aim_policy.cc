@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "mitigation/sim_policy.hh"
-#include "runtime/resilient_backend.hh"
+#include "runtime/batch_attempt.hh"
 #include "telemetry/telemetry.hh"
 
 namespace qem

@@ -6,7 +6,7 @@
 #include "mitigation/matrix_correction.hh"
 #include "qsim/bitstring.hh"
 #include "qsim/rng.hh"
-#include "runtime/resilient_backend.hh"
+#include "runtime/batch_attempt.hh"
 #include "telemetry/telemetry.hh"
 
 namespace qem

@@ -6,7 +6,7 @@
 
 #include "qsim/bitstring.hh"
 #include "qsim/statevector.hh"
-#include "runtime/resilient_backend.hh"
+#include "runtime/batch_attempt.hh"
 #include "telemetry/telemetry.hh"
 
 namespace qem

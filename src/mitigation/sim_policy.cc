@@ -4,7 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "runtime/resilient_backend.hh"
+#include "runtime/batch_attempt.hh"
 #include "telemetry/telemetry.hh"
 
 namespace qem

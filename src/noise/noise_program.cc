@@ -243,8 +243,6 @@ NoiseProgram::lower(const Circuit& circuit, const NoiseModel& model,
         for (std::size_t i = 0; i < cop.phys.size(); ++i)
             emitDecay(op.qubits[i], cop.phys[i], noise.durationNs);
     }
-    if (options.fuseGates)
-        p.fuseUnitaryRuns();
     return p;
 }
 

@@ -56,23 +56,6 @@ struct TrajectoryOptions
      * estimator should turn this off.
      */
     bool deterministicFastPath = true;
-    /**
-     * Fuse runs of adjacent unitary steps at lowering time: 1q runs
-     * on the same qubit collapse to one MATRIX_1Q, and 1q gates fold
-     * into neighboring 2q steps as 4x4 products. Fusion touches only
-     * unitary steps — which consume no RNG draws — so the stochastic
-     * step layout (order, qubits, probabilities) is exactly that of
-     * the unfused program, and consumption is bit-identical whenever
-     * every stochastic draw is state-independent (gate errors).
-     * Caveat: decay channels skip their draw on an exactly-zero |1>
-     * population, and fused 4x4 rounding can perturb exact zeros
-     * into ~1e-17 residues, so full-noise fused runs are a distinct
-     * (still deterministic) stream; sampled counts shift within
-     * statistical noise either way. Fused mode therefore pins its
-     * own golden (tests/golden/trajectory_fused.json; see
-     * docs/verification.md).
-     */
-    bool fuseGates = false;
 };
 
 /** One lowered step of the trajectory evolution. */
@@ -151,12 +134,6 @@ class NoiseProgram
     std::size_t size() const { return steps_.size(); }
 
     /**
-     * Source unitary steps eliminated by gate fusion (0 unless the
-     * program was lowered with TrajectoryOptions::fuseGates).
-     */
-    std::uint64_t fusedSteps() const { return fused_; }
-
-    /**
      * Run one trajectory: @p state must be |0...0> over
      * compactQubits() on entry. Draws every stochastic decision
      * from @p rng, consuming the stream exactly as the un-lowered
@@ -167,21 +144,12 @@ class NoiseProgram
   private:
     NoiseProgram() = default;
 
-    /**
-     * In-place gate fusion over the lowered step list (fusion.cc).
-     * Stochastic steps act as barriers on their own qubits only;
-     * unitaries commute exactly across steps with disjoint support,
-     * which is what lets a run resume past unrelated steps.
-     */
-    void fuseUnitaryRuns();
-
     std::vector<NoiseStep> steps_;
     std::vector<Matrix2> pool1q_;
     std::vector<Matrix4> pool2q_;
     std::vector<Qubit> active_;
     unsigned compactQubits_ = 0;
     std::uint64_t gates_ = 0;
-    std::uint64_t fused_ = 0;
     bool stochastic_ = false;
 };
 

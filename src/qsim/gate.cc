@@ -209,55 +209,6 @@ matmul(const Matrix2& a, const Matrix2& b)
             a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]};
 }
 
-Matrix4
-matmul(const Matrix4& a, const Matrix4& b)
-{
-    Matrix4 out{};
-    for (std::size_t r = 0; r < 4; ++r) {
-        for (std::size_t c = 0; c < 4; ++c) {
-            Amplitude acc{0.0, 0.0};
-            for (std::size_t k = 0; k < 4; ++k)
-                acc += a[r * 4 + k] * b[k * 4 + c];
-            out[r * 4 + c] = acc;
-        }
-    }
-    return out;
-}
-
-Matrix4
-embed1qIn2q(const Matrix2& m, unsigned bit)
-{
-    if (bit > 1)
-        throw std::invalid_argument("embed1qIn2q: bit must be 0 or 1");
-    Matrix4 out{};
-    for (std::size_t r = 0; r < 4; ++r) {
-        for (std::size_t c = 0; c < 4; ++c) {
-            if (bit == 0) {
-                // U on index bit 0, identity on bit 1.
-                if ((r >> 1) == (c >> 1))
-                    out[r * 4 + c] = m[(r & 1) * 2 + (c & 1)];
-            } else {
-                if ((r & 1) == (c & 1))
-                    out[r * 4 + c] = m[(r >> 1) * 2 + (c >> 1)];
-            }
-        }
-    }
-    return out;
-}
-
-Matrix4
-swapOperandOrder(const Matrix4& m)
-{
-    auto sw = [](std::size_t i) {
-        return ((i & 1) << 1) | ((i >> 1) & 1);
-    };
-    Matrix4 out{};
-    for (std::size_t r = 0; r < 4; ++r)
-        for (std::size_t c = 0; c < 4; ++c)
-            out[r * 4 + c] = m[sw(r) * 4 + sw(c)];
-    return out;
-}
-
 bool
 Operation::touches(Qubit q) const
 {

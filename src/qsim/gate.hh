@@ -70,24 +70,6 @@ Matrix2 dagger(const Matrix2& m);
 /** Matrix product a * b of 2x2 matrices. */
 Matrix2 matmul(const Matrix2& a, const Matrix2& b);
 
-/** Matrix product a * b of 4x4 matrices. */
-Matrix4 matmul(const Matrix4& a, const Matrix4& b);
-
-/**
- * Embed a 1q unitary into the 2q operand space: U acting on the
- * operand mapped to index bit @p bit (0 or 1), identity on the
- * other. Used by gate fusion to fold 1q gates into 4x4 products.
- */
-Matrix4 embed1qIn2q(const Matrix2& m, unsigned bit);
-
-/**
- * The same 2q unitary expressed with its operands swapped: if M acts
- * on (a, b) mapped to index bits (0, 1), the result acts identically
- * when applied to (b, a). Lets fusion combine two 2q steps written
- * with opposite operand order.
- */
-Matrix4 swapOperandOrder(const Matrix4& m);
-
 /**
  * One operation in a circuit: a gate kind, its qubit operands, real
  * parameters, and bookkeeping for measurement and timing.

@@ -163,4 +163,24 @@ FaultInjectingBackend::clone() const
                                                    options_);
 }
 
+std::vector<std::unique_ptr<ShardedBackend>>
+cloneWorkers(const ShardedBackend& prototype, std::size_t count)
+{
+    const std::optional<FaultOptions> faults = FaultOptions::fromEnv();
+    std::vector<std::unique_ptr<ShardedBackend>> workers;
+    workers.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        std::unique_ptr<ShardedBackend> worker = prototype.clone();
+        if (faults) {
+            FaultOptions perWorker = *faults;
+            perWorker.seed +=
+                0x9E3779B97F4A7C15ULL * (i + 1); // Decorrelate.
+            worker = std::make_unique<FaultInjectingBackend>(
+                std::move(worker), perWorker);
+        }
+        workers.push_back(std::move(worker));
+    }
+    return workers;
+}
+
 } // namespace qem

@@ -22,9 +22,10 @@
  *   INVERTQ_FAULTS="rate=0.02,kind=transient,seed=7"
  *   INVERTQ_FAULTS="after=10,count=3,kind=fatal"
  *
- * ParallelBackend wraps every worker clone in an injector when the
- * variable is set, so any parallel run in the process exercises
- * retry/backoff without code changes.
+ * cloneWorkers() wraps every worker clone of ParallelBackend and
+ * the job service in an injector when the variable is set, so any
+ * parallel run in the process exercises retry/backoff without code
+ * changes.
  */
 
 #ifndef QEM_RUNTIME_FAULT_INJECTION_HH
@@ -35,9 +36,10 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "qsim/simulator.hh"
-#include "runtime/resilient_backend.hh"
+#include "runtime/batch_attempt.hh"
 
 namespace qem
 {
@@ -97,7 +99,7 @@ class FaultInjectingBackend : public ShardedBackend
                Rng& rng) const override;
 
     // compile() is intentionally NOT overridden: the inherited
-    // nullptr default forces ParallelBackend down the per-batch
+    // nullptr default forces attemptBatch() down the per-batch
     // run() path, so every batch still crosses maybeFail() and an
     // INVERTQ_FAULTS smoke keeps exercising retry/backoff instead
     // of being bypassed by a shared compiled program.
@@ -131,6 +133,18 @@ class FaultInjectingBackend : public ShardedBackend
     mutable std::atomic<std::uint64_t> calls_{0};
     mutable std::atomic<std::uint64_t> failures_{0};
 };
+
+/**
+ * Clone @p prototype @p count times, one clone per pool worker.
+ * When `INVERTQ_FAULTS` is set each clone is wrapped in a
+ * FaultInjectingBackend whose seed is offset by the worker's
+ * position, so workers fail on different call indices instead of
+ * in lockstep.
+ *
+ * @throws std::invalid_argument on a malformed `INVERTQ_FAULTS`.
+ */
+std::vector<std::unique_ptr<ShardedBackend>>
+cloneWorkers(const ShardedBackend& prototype, std::size_t count);
 
 } // namespace qem
 

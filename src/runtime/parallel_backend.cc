@@ -1,9 +1,8 @@
 #include "runtime/parallel_backend.hh"
 
+#include <atomic>
 #include <chrono>
 #include <future>
-#include <limits>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -56,13 +55,6 @@ struct RunTelemetry
     }
 };
 
-/** First transient failure of a batch: who failed it, and why. */
-struct BatchFailure
-{
-    std::size_t worker = 0;
-    std::string what;
-};
-
 } // namespace
 
 ParallelBackend::ParallelBackend(const ShardedBackend& prototype,
@@ -73,21 +65,9 @@ ParallelBackend::ParallelBackend(const ShardedBackend& prototype,
     if (options_.batchSize == 0)
         throw std::invalid_argument("ParallelBackend: batch size "
                                     "must be nonzero");
+    options_.backoff.validate();
     const unsigned threads = resolveThreads(options_.numThreads);
-    const std::optional<FaultOptions> faults =
-        FaultOptions::fromEnv();
-    workers_.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i) {
-        std::unique_ptr<ShardedBackend> worker = prototype.clone();
-        if (faults) {
-            FaultOptions perWorker = *faults;
-            perWorker.seed +=
-                0x9E3779B97F4A7C15ULL * (i + 1); // Decorrelate.
-            worker = std::make_unique<FaultInjectingBackend>(
-                std::move(worker), perWorker);
-        }
-        workers_.push_back(std::move(worker));
-    }
+    workers_ = cloneWorkers(prototype, threads);
     if (threads > 1)
         pool_ = std::make_unique<ThreadPool>(threads);
 }
@@ -124,38 +104,45 @@ ParallelBackend::run(const Circuit& circuit, std::size_t shots)
     const std::shared_ptr<const ShardedBackend::CompiledRun>
         compiled = workers_[0]->compile(circuit);
 
-    std::vector<Counts> partial(plan.numBatches());
+    std::vector<BatchResult> results(plan.numBatches());
     std::vector<std::uint64_t> workerShots(workers_.size(), 0);
-    // Index-disjoint failure slots: the task for batch i writes
-    // only failures[i], like partial[i].
-    std::vector<std::optional<BatchFailure>> failures(
-        plan.numBatches());
+    const RetryObserver onRetry = [](unsigned, double delay,
+                                     const TransientError&) {
+        telemetry::count("runtime.retries");
+        telemetry::observe("runtime.backoff_seconds", delay);
+    };
+    // Set by the first batch that fails the run; later batches are
+    // skipped instead of spending their retry budgets.
+    std::atomic<bool> failed{false};
+    // Batch task on worker w: writes only results[batch.index] and
+    // workerShots[w], so tasks never share a slot.
+    const auto runBatch = [&](const ShotBatch& batch, std::size_t w) {
+        if (failed.load())
+            return;
+        const auto batchStart =
+            tele.workerBatchSeconds[w]
+                ? std::chrono::steady_clock::now()
+                : std::chrono::steady_clock::time_point{};
+        BatchResult& result = results[batch.index];
+        result = attemptBatch(compiled.get(), *workers_[w], circuit,
+                              job, batch, options_.maxRetries,
+                              options_.backoff, options_.salvage,
+                              onRetry);
+        if (result.ok())
+            workerShots[w] += batch.shots;
+        else if (!result.dropped)
+            failed.store(true);
+        if (tele.workerBatchSeconds[w]) {
+            tele.workerBatchSeconds[w]->record(
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - batchStart)
+                    .count());
+        }
+    };
 
     if (!pool_) {
-        for (const ShotBatch& batch : plan.batches()) {
-            const auto batchStart =
-                tele.workerBatchSeconds[0]
-                    ? std::chrono::steady_clock::now()
-                    : std::chrono::steady_clock::time_point{};
-            Rng rng = ShotPlan::substream(job, batch.index);
-            try {
-                partial[batch.index] =
-                    compiled
-                        ? compiled->run(batch.shots, rng)
-                        : workers_[0]->run(circuit, batch.shots,
-                                           rng);
-                workerShots[0] += batch.shots;
-            } catch (const TransientError& e) {
-                failures[batch.index] = BatchFailure{0, e.what()};
-            }
-            if (tele.workerBatchSeconds[0]) {
-                tele.workerBatchSeconds[0]->record(
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() -
-                        batchStart)
-                        .count());
-            }
-        }
+        for (const ShotBatch& batch : plan.batches())
+            runBatch(batch, 0);
     } else {
         std::vector<std::future<void>> futures;
         futures.reserve(plan.numBatches());
@@ -164,147 +151,51 @@ ParallelBackend::run(const Circuit& circuit, std::size_t shots)
                 tele.queueWaitSeconds
                     ? std::chrono::steady_clock::now()
                     : std::chrono::steady_clock::time_point{};
-            futures.push_back(pool_->submit(
-                [this, &circuit, &job, &compiled, &partial,
-                 &workerShots, &failures, &tele, enqueued, batch] {
-                    const auto picked =
-                        tele.queueWaitSeconds
-                            ? std::chrono::steady_clock::now()
-                            : std::chrono::steady_clock::
-                                  time_point{};
+            futures.push_back(
+                pool_->submit([&runBatch, &tele, enqueued, batch] {
                     if (tele.queueWaitSeconds) {
                         tele.queueWaitSeconds->record(
                             std::chrono::duration<double>(
-                                picked - enqueued)
+                                std::chrono::steady_clock::now() -
+                                enqueued)
                                 .count());
                     }
-                    const int w = ThreadPool::workerIndex();
-                    Rng rng =
-                        ShotPlan::substream(job, batch.index);
-                    try {
-                        partial[batch.index] =
-                            compiled
-                                ? compiled->run(batch.shots, rng)
-                                : workers_[static_cast<std::size_t>(
-                                               w)]
-                                      ->run(circuit, batch.shots,
-                                            rng);
-                        workerShots[static_cast<std::size_t>(w)] +=
-                            batch.shots;
-                    } catch (const TransientError& e) {
-                        failures[batch.index] = BatchFailure{
-                            static_cast<std::size_t>(w), e.what()};
-                    }
-                    telemetry::Histogram* h =
-                        tele.workerBatchSeconds
-                            [static_cast<std::size_t>(w)];
-                    if (h) {
-                        h->record(std::chrono::duration<double>(
-                                      std::chrono::steady_clock::
-                                          now() -
-                                      picked)
-                                      .count());
-                    }
+                    runBatch(batch, static_cast<std::size_t>(
+                                        ThreadPool::workerIndex()));
                 }));
         }
         // Wait for every batch before touching the stack frame the
-        // tasks reference; only then surface the first non-transient
-        // exception (transient ones were captured for retry).
+        // tasks reference.
         for (std::future<void>& f : futures)
             f.wait();
         for (std::future<void>& f : futures)
             f.get();
     }
 
-    // Retry phase: failed batches re-run on the calling thread, in
-    // batch-index order, on a worker other than the one that failed
-    // them. Each attempt re-derives the batch's index-keyed
-    // substream, so a recovered batch contributes exactly the
-    // counts it would have produced on the first attempt — the
-    // merged histogram does not depend on which batches failed.
+    // The lowest-index batch that failed the run decides the
+    // exception; dropped batches only shorten the histogram.
+    for (const BatchResult& result : results) {
+        if (!result.ok() && !result.dropped)
+            std::rethrow_exception(result.error);
+    }
     RunOutcome outcome;
     outcome.requestedShots = shots;
     outcome.completedShots = shots;
     outcome.salvage = options_.salvage;
-    std::vector<char> dropped(plan.numBatches(), 0);
-    // Jitter stream: index-keyed far outside any real batch index,
-    // so it never collides with a batch substream.
-    Rng backoffRng =
-        job.splitAt(std::numeric_limits<std::uint64_t>::max());
-
-    for (std::size_t i = 0; i < plan.numBatches(); ++i) {
-        if (!failures[i])
-            continue;
-        const ShotBatch& batch = plan.batches()[i];
-        std::size_t excluded = failures[i]->worker;
-        std::string lastError = failures[i]->what;
-        for (unsigned retries = 0;; ++retries) {
-            const double elapsed =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            const bool pastDeadline =
-                options_.deadlineSeconds > 0.0 &&
-                elapsed >= options_.deadlineSeconds;
-            if (retries >= options_.maxRetries || pastDeadline) {
-                if (pastDeadline && !outcome.deadlineExceeded) {
-                    outcome.deadlineExceeded = true;
-                    telemetry::count("runtime.deadline_exceeded");
-                }
-                if (options_.salvage != SalvageMode::DropBatches) {
-                    throw BudgetExhausted(
-                        "batch " + std::to_string(i) + " lost " +
-                        (pastDeadline
-                             ? "(deadline of " +
-                                   std::to_string(
-                                       options_.deadlineSeconds) +
-                                   " s exceeded)"
-                             : "after " +
-                                   std::to_string(retries + 1) +
-                                   " attempts") +
-                        ": " + lastError);
-                }
-                dropped[i] = 1;
-                outcome.droppedBatches += 1;
-                outcome.completedShots -= batch.shots;
-                telemetry::count("runtime.dropped_batches");
-                break;
-            }
-            const double delay = options_.backoff.delaySeconds(
-                retries, backoffRng);
-            outcome.totalRetries += 1;
-            outcome.backoffSeconds += delay;
-            telemetry::count("runtime.retries");
-            telemetry::observe("runtime.backoff_seconds", delay);
-            backoffSleep(delay);
-            // Prefer a different worker than the last failure; a
-            // single-worker runtime has no choice.
-            const std::size_t w =
-                workers_.size() > 1 ? (excluded + 1) %
-                                          workers_.size()
-                                    : excluded;
-            Rng rng = ShotPlan::substream(job, batch.index);
-            try {
-                partial[i] =
-                    compiled
-                        ? compiled->run(batch.shots, rng)
-                        : workers_[w]->run(circuit, batch.shots,
-                                           rng);
-                workerShots[w] += batch.shots;
-                outcome.retriedBatches += 1;
-                break;
-            } catch (const TransientError& e) {
-                lastError = e.what();
-                excluded = w;
-            }
-            // FatalError / non-taxonomy exceptions propagate.
-        }
-    }
-
     Counts merged(circuit.numClbits());
     for (std::size_t i = 0; i < plan.numBatches(); ++i) {
-        if (!dropped[i])
-            merged.merge(partial[i]);
+        const BatchResult& result = results[i];
+        outcome.totalRetries += result.retries;
+        outcome.backoffSeconds += result.backoffSeconds;
+        if (result.ok()) {
+            merged.merge(result.counts);
+            if (result.retries > 0)
+                outcome.retriedBatches += 1;
+        } else {
+            outcome.droppedBatches += 1;
+            outcome.completedShots -= plan.batches()[i].shots;
+            telemetry::count("runtime.dropped_batches");
+        }
     }
 
     const double seconds =

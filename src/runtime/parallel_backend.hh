@@ -10,16 +10,16 @@
  * order. The merged Counts is bit-identical for the same seed
  * regardless of thread count (see docs/runtime.md).
  *
- * Failure semantics (docs/resilience.md): a batch that throws
- * TransientError is re-submitted — with exponential backoff, on a
- * worker other than the one that failed it — up to
- * RuntimeOptions::maxRetries times. A recovered batch re-derives
- * its index-keyed RNG substream, so the merged histogram is
- * unchanged by which batches failed. Exhausted batches either
- * abort the run with BudgetExhausted (SalvageMode::FailFast) or
- * are dropped and reported in RunOutcome
- * (SalvageMode::DropBatches). Setting `INVERTQ_FAULTS` wraps every
- * worker in a FaultInjectingBackend (see fault_injection.hh).
+ * Failure semantics (docs/resilience.md): every batch runs through
+ * attemptBatch(), inline in its pool task. A batch that throws
+ * TransientError is re-submitted with exponential backoff up to
+ * RuntimeOptions::maxRetries times; each attempt re-derives its
+ * index-keyed RNG substream, so the merged histogram is unchanged
+ * by which batches failed. Exhausted batches either abort the run
+ * with BudgetExhausted (SalvageMode::FailFast) or are dropped and
+ * reported in RunOutcome (SalvageMode::DropBatches). Setting
+ * `INVERTQ_FAULTS` wraps every worker in a FaultInjectingBackend
+ * (see fault_injection.hh).
  */
 
 #ifndef QEM_RUNTIME_PARALLEL_BACKEND_HH
@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "qsim/simulator.hh"
-#include "runtime/resilient_backend.hh"
+#include "runtime/batch_attempt.hh"
 #include "runtime/runtime_stats.hh"
 #include "runtime/shot_plan.hh"
 #include "runtime/thread_pool.hh"
@@ -53,12 +53,6 @@ struct RuntimeOptions
     unsigned maxRetries = 2;
     /** Backoff between re-submissions of a batch. */
     BackoffPolicy backoff{};
-    /**
-     * Wall-clock budget in seconds for the whole run() including
-     * retries; 0 = unlimited. Checked before each re-submission (a
-     * running batch is never interrupted).
-     */
-    double deadlineSeconds = 0.0;
     /** What to do with a batch whose retry budget ran out. */
     SalvageMode salvage = SalvageMode::FailFast;
 };
@@ -73,7 +67,9 @@ class ParallelBackend : public Backend
      *             of that, so repeated runs differ but a
      *             reconstructed backend replays the same sequence —
      *             mirroring the serial simulators' contract.
-     * @param options Thread count and batch size.
+     * @param options Thread count, batch size and retry budget.
+     * @throws std::invalid_argument for a zero batch size, an
+     *         invalid BackoffPolicy, or a malformed INVERTQ_FAULTS.
      */
     ParallelBackend(const ShardedBackend& prototype,
                     std::uint64_t seed,

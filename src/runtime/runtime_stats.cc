@@ -11,10 +11,9 @@ RunOutcome::toString() const
     char head[192];
     std::snprintf(head, sizeof head,
                   "%zu/%zu shots, %zu retried batches "
-                  "(%zu retries), %zu dropped, %.3f s backoff%s%s",
+                  "(%zu retries), %zu dropped, %.3f s backoff%s",
                   completedShots, requestedShots, retriedBatches,
                   totalRetries, droppedBatches, backoffSeconds,
-                  deadlineExceeded ? ", deadline exceeded" : "",
                   salvage == SalvageMode::DropBatches
                       ? ", salvage"
                       : "");

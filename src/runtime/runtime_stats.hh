@@ -51,8 +51,6 @@ struct RunOutcome
     std::size_t droppedBatches = 0;
     /** Seconds spent sleeping in backoff. */
     double backoffSeconds = 0.0;
-    /** Did the wall-clock deadline cut retrying short? */
-    bool deadlineExceeded = false;
     /** Salvage policy the run executed under. */
     SalvageMode salvage = SalvageMode::FailFast;
 
@@ -66,8 +64,7 @@ struct RunOutcome
     /** True iff the run needed the resilience machinery at all. */
     bool degraded() const
     {
-        return !complete() || retriedBatches > 0 ||
-               deadlineExceeded;
+        return !complete() || retriedBatches > 0;
     }
 
     /** One-line human-readable summary. */

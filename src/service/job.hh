@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "qsim/counts.hh"
-#include "runtime/resilient_backend.hh"
+#include "runtime/batch_attempt.hh"
 #include "runtime/runtime_stats.hh"
 #include "telemetry/flight_recorder.hh"
 #include "telemetry/json.hh"
@@ -82,7 +82,8 @@ struct JobOptions
     /** Shots per scheduled batch; 0 = the service default. */
     std::size_t batchSize = 0;
     /** Retries per batch after a TransientError; -1 (the default
-     *  sentinel) = the service default. */
+     *  sentinel) = the service default. Other negative values are
+     *  rejected by submit(). */
     int maxRetries = -1;
     /** What happens to a batch whose retry budget runs out. */
     SalvageMode salvage = SalvageMode::FailFast;

@@ -45,12 +45,26 @@ compiledBytesEstimate(const Circuit& circuit)
            circuit.ops().size() * 64 + 1024;
 }
 
+/** what() of the exception in @p error. */
+std::string
+errorMessage(const std::exception_ptr& error)
+{
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception& e) {
+        return e.what();
+    } catch (...) {
+        return "unknown exception";
+    }
+}
+
 } // namespace
 
 JobService::JobService(ServiceOptions options, std::uint64_t seed)
     : options_(options), seed_(seed), cache_(options.cache),
       queue_(options.maxQueuedBatches)
 {
+    options_.backoff.validate();
     unsigned threads = options_.numThreads;
     if (threads == 0) {
         threads = std::thread::hardware_concurrency();
@@ -67,30 +81,13 @@ JobService::~JobService()
     pool_.reset();
 }
 
-std::shared_ptr<const JobService::WorkerSet>
-JobService::cloneWorkers(const ShardedBackend& prototype) const
-{
-    const std::optional<FaultOptions> faults =
-        FaultOptions::fromEnv();
-    auto workers = std::make_shared<WorkerSet>();
-    workers->reserve(pool_->size());
-    for (std::size_t i = 0; i < pool_->size(); ++i) {
-        std::unique_ptr<ShardedBackend> worker =
-            prototype.clone();
-        if (faults)
-            worker = std::make_unique<FaultInjectingBackend>(
-                std::move(worker), *faults);
-        workers->push_back(std::move(worker));
-    }
-    return workers;
-}
-
 bool
 JobService::registerMachine(const std::string& name,
                             const ShardedBackend& prototype)
 {
     // Clone outside the lock: prototypes can be heavy.
-    auto workers = cloneWorkers(prototype);
+    auto workers = std::make_shared<const WorkerSet>(
+        cloneWorkers(prototype, pool_->size()));
     auto runtime = std::make_unique<MachineRuntime>();
     runtime->name = name;
     runtime->workers = std::move(workers);
@@ -105,7 +102,8 @@ JobService::replaceMachine(const std::string& name,
 {
     // Clone outside the lock; the swap itself is one pointer
     // assignment plus the generation bump under mutex_.
-    auto workers = cloneWorkers(prototype);
+    auto workers = std::make_shared<const WorkerSet>(
+        cloneWorkers(prototype, pool_->size()));
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = machines_.find(name);
@@ -207,8 +205,12 @@ JobService::submit(const std::string& machine,
     if (batchSize == 0)
         throw std::invalid_argument(
             "JobService: batch size must be nonzero");
+    if (options.maxRetries < -1)
+        throw std::invalid_argument(
+            "JobService: maxRetries must be >= 0, or -1 for the "
+            "service default");
     const unsigned maxRetries =
-        options.maxRetries < 0
+        options.maxRetries == -1
             ? options_.defaultMaxRetries
             : static_cast<unsigned>(options.maxRetries);
 
@@ -299,10 +301,8 @@ JobService::submit(const std::string& machine,
         item.jobSeq = jobSeq;
         item.batchIndex = batch.index;
         item.work = [this, state, workers = snapshot.workers,
-                     compiled, index = batch.index,
-                     shotsInBatch = batch.shots] {
-            runBatch(state, workers, compiled, index,
-                     shotsInBatch);
+                     compiled, batch] {
+            runBatch(state, workers, compiled, batch);
         };
         items.push_back(std::move(item));
     }
@@ -361,9 +361,10 @@ JobService::runBatch(
     const std::shared_ptr<JobState>& state,
     std::shared_ptr<const WorkerSet> workers,
     std::shared_ptr<const ShardedBackend::CompiledRun> compiled,
-    std::size_t batch_index, std::size_t batch_shots)
+    const ShotBatch& batch)
 {
     dispatchedBatches_.fetch_add(1, std::memory_order_relaxed);
+    const auto index = static_cast<std::int64_t>(batch.index);
     bool skip = false;
     {
         std::lock_guard<std::mutex> lock(state->mutex);
@@ -378,123 +379,57 @@ JobService::runBatch(
     }
     if (skip) {
         if (state->flight)
-            state->flight->record(
-                telemetry::FlightEventKind::Skip,
-                static_cast<std::int64_t>(batch_index));
+            state->flight->record(telemetry::FlightEventKind::Skip,
+                                  index);
         // Skipped batch: still counts as finished so the job
         // reaches a terminal status.
         finishBatch(state);
         return;
     }
     if (state->flight)
-        state->flight->record(
-            telemetry::FlightEventKind::Dispatch,
-            static_cast<std::int64_t>(batch_index), batch_shots);
+        state->flight->record(telemetry::FlightEventKind::Dispatch,
+                              index, batch.shots);
 
     const int workerIdx = ThreadPool::workerIndex();
     const std::size_t worker =
         workerIdx >= 0 ? static_cast<std::size_t>(workerIdx) %
                              workers->size()
                        : 0;
-    // Keyed far above any real batch index so backoff draws can
-    // never collide with a batch substream.
-    Rng backoffRng =
-        state->jobRng.splitAt(UINT64_MAX - batch_index);
-    unsigned attempts = 0;
-    for (;;) {
-        try {
-            // Re-derived fresh each attempt: a failed attempt may
-            // have consumed part of the stream.
-            Rng rng =
-                ShotPlan::substream(state->jobRng, batch_index);
-            Counts counts =
-                compiled
-                    ? compiled->run(batch_shots, rng)
-                    : (*workers)[worker]->run(
-                          state->circuit, batch_shots, rng);
-            {
-                std::lock_guard<std::mutex> lock(state->mutex);
-                state->partial[batch_index] = std::move(counts);
-                state->record.retries += attempts;
+    telemetry::FlightRecorder* flight = state->flight.get();
+    BatchResult result = attemptBatch(
+        compiled.get(), *(*workers)[worker], state->circuit,
+        state->jobRng, batch, state->maxRetries, options_.backoff,
+        state->salvage,
+        [flight, index](unsigned retry, double delay,
+                        const TransientError& cause) {
+            telemetry::count("service.retries");
+            if (flight) {
+                flight->record(telemetry::FlightEventKind::Retry,
+                               index, retry, cause.what());
+                flight->record(
+                    telemetry::FlightEventKind::Backoff, index,
+                    static_cast<std::uint64_t>(delay * 1e6));
             }
-            finishBatch(state);
-            return;
-        } catch (const std::exception& e) {
-            const bool transient = isTransient(e);
-            if (transient && attempts < state->maxRetries) {
-                const double delay =
-                    options_.backoff.delaySeconds(attempts,
-                                                  backoffRng);
-                ++attempts;
-                telemetry::count("service.retries");
-                if (state->flight) {
-                    state->flight->record(
-                        telemetry::FlightEventKind::Retry,
-                        static_cast<std::int64_t>(batch_index),
-                        attempts, e.what());
-                    state->flight->record(
-                        telemetry::FlightEventKind::Backoff,
-                        static_cast<std::int64_t>(batch_index),
-                        static_cast<std::uint64_t>(delay * 1e6));
-                }
-                backoffSleep(delay);
-                continue;
-            }
-            if (transient &&
-                state->salvage == SalvageMode::DropBatches) {
-                telemetry::count("service.dropped_batches");
-                if (state->flight)
-                    state->flight->record(
-                        telemetry::FlightEventKind::Salvage,
-                        static_cast<std::int64_t>(batch_index),
-                        attempts, e.what());
-                std::lock_guard<std::mutex> lock(state->mutex);
-                state->record.retries += attempts;
-                ++state->record.droppedBatches;
-            } else {
-                if (state->flight)
-                    state->flight->record(
-                        telemetry::FlightEventKind::Fail,
-                        static_cast<std::int64_t>(batch_index),
-                        attempts, e.what());
-                std::lock_guard<std::mutex> lock(state->mutex);
-                state->record.retries += attempts;
-                if (!state->failure) {
-                    if (transient)
-                        state->failure = std::make_exception_ptr(
-                            BudgetExhausted(
-                                "JobService: batch " +
-                                std::to_string(batch_index) +
-                                " of job " +
-                                std::to_string(
-                                    state->record.id) +
-                                " exhausted " +
-                                std::to_string(
-                                    state->maxRetries) +
-                                " retries: " + e.what()));
-                    else
-                        state->failure =
-                            std::current_exception();
-                }
-            }
-            finishBatch(state);
-            return;
-        } catch (...) {
-            if (state->flight)
-                state->flight->record(
-                    telemetry::FlightEventKind::Fail,
-                    static_cast<std::int64_t>(batch_index),
-                    attempts, "unknown exception");
-            {
-                std::lock_guard<std::mutex> lock(state->mutex);
-                state->record.retries += attempts;
-                if (!state->failure)
-                    state->failure = std::current_exception();
-            }
-            finishBatch(state);
-            return;
-        }
+        });
+    if (result.dropped)
+        telemetry::count("service.dropped_batches");
+    if (flight && !result.ok())
+        flight->record(result.dropped
+                           ? telemetry::FlightEventKind::Salvage
+                           : telemetry::FlightEventKind::Fail,
+                       index, result.retries,
+                       errorMessage(result.error));
+    {
+        std::lock_guard<std::mutex> lock(state->mutex);
+        state->record.retries += result.retries;
+        if (result.ok())
+            state->partial[batch.index] = std::move(result.counts);
+        else if (result.dropped)
+            ++state->record.droppedBatches;
+        else if (!state->failure)
+            state->failure = result.error;
     }
+    finishBatch(state);
 }
 
 void
@@ -519,13 +454,7 @@ JobService::finalizeLocked(JobState& state)
     JobRecord& record = state.record;
     if (state.failure) {
         record.status = JobStatus::Failed;
-        try {
-            std::rethrow_exception(state.failure);
-        } catch (const std::exception& e) {
-            record.error = e.what();
-        } catch (...) {
-            record.error = "unknown exception";
-        }
+        record.error = errorMessage(state.failure);
     } else if (state.cancelled) {
         record.status = JobStatus::Cancelled;
     } else {

@@ -23,12 +23,12 @@
  * bit-identical per-job Counts (pinned by the committed golden
  * tests/golden/job_service.json).
  *
- * Failure semantics mirror ParallelBackend (docs/resilience.md):
- * per-batch transient retries with deterministic backoff, then
- * FailFast (the job's handle throws BudgetExhausted) or
- * DropBatches (the job completes short and its JobRecord reports
- * the loss). Every job leaves a JobRecord in the audit log,
- * exportable as a service manifest.
+ * Failure semantics are ParallelBackend's, from the same
+ * attemptBatch() loop (docs/resilience.md): per-batch transient
+ * retries with deterministic backoff, then FailFast (the job's
+ * handle throws BudgetExhausted) or DropBatches (the job completes
+ * short and its JobRecord reports the loss). Every job leaves a
+ * JobRecord in the audit log, exportable as a service manifest.
  */
 
 #ifndef QEM_SERVICE_JOB_SERVICE_HH
@@ -47,7 +47,7 @@
 #include "qsim/circuit.hh"
 #include "qsim/rng.hh"
 #include "qsim/simulator.hh"
-#include "runtime/resilient_backend.hh"
+#include "runtime/batch_attempt.hh"
 #include "runtime/thread_pool.hh"
 #include "service/artifact_cache.hh"
 #include "service/job.hh"
@@ -112,6 +112,8 @@ class JobService
     /**
      * @param options Pool size, queue bound, retry defaults, cache
      *        budget.
+     * @throws std::invalid_argument for an invalid
+     *         ServiceOptions::backoff.
      * @param seed Root of the service's RNG tree; per-tenant and
      *        per-job streams derive from it by index-keyed splits.
      */
@@ -126,9 +128,9 @@ class JobService
 
     /**
      * Register @p prototype as the executor for @p name, cloning
-     * one worker per pool thread (wrapped in a fault injector when
-     * `INVERTQ_FAULTS` is set, exactly like ParallelBackend).
-     * Returns false — keeping the existing registration — when the
+     * one worker per pool thread through cloneWorkers() (wrapped in
+     * a fault injector when `INVERTQ_FAULTS` is set, exactly like
+     * ParallelBackend). Returns false — keeping the existing registration — when the
      * machine is already registered.
      */
     bool registerMachine(const std::string& name,
@@ -158,8 +160,9 @@ class JobService
      * Queue @p shots trials of @p circuit on @p machine. Returns
      * immediately with a handle to the async result.
      *
-     * @throws std::invalid_argument for an unregistered machine or
-     *         zero batch size.
+     * @throws std::invalid_argument for an unregistered machine,
+     *         zero batch size, or JobOptions::maxRetries below -1;
+     *         no job id or tenant sequence number is consumed.
      * @throws BudgetExhausted when admission control rejects the
      *         job (queue full); nothing is enqueued.
      */
@@ -285,11 +288,6 @@ class JobService
         std::uint64_t generation = 0;
     };
 
-    /** Clone @p prototype once per pool worker (fault-wrapped per
-     *  INVERTQ_FAULTS, exactly like ParallelBackend). */
-    std::shared_ptr<const WorkerSet>
-    cloneWorkers(const ShardedBackend& prototype) const;
-
     /** Resolve a registered machine's current snapshot or throw. */
     MachineSnapshot machineSnapshot(const std::string& name) const;
 
@@ -310,7 +308,7 @@ class JobService
         std::shared_ptr<const WorkerSet> workers,
         std::shared_ptr<const ShardedBackend::CompiledRun>
             compiled,
-        std::size_t batch_index, std::size_t batch_shots);
+        const ShotBatch& batch);
 
     /** Mark one batch finished; finalizes the job on the last. */
     void finishBatch(const std::shared_ptr<JobState>& state);

@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "harness/experiment.hh"
 #include "harness/table.hh"
@@ -224,6 +225,42 @@ TEST_F(FaultInjection, MultiThreadedTransientFaultsStillConverge)
     EXPECT_TRUE(retried.lastOutcome().complete());
 }
 
+TEST_F(FaultInjection, InlineRetriesOnPoolWorkersMergeExactly)
+{
+    // Each worker clone's injector fails its own first call once,
+    // so every worker that runs a batch retries it inline on the
+    // pool thread. The merge still matches the clean run, and the
+    // outcome counts one retried batch (and one retry) per busy
+    // worker, whichever batches those turned out to be.
+    const TrajectorySimulator proto(makeIbmqx4().noiseModel(), 7);
+    const Circuit circuit =
+        bernsteinVazirani(4, fromBitString("1011"));
+    ParallelBackend clean(proto, 2019, fastRuntime(4, 32, 0));
+    const Counts expected = clean.run(circuit, 2048);
+
+    FaultOptions faults;
+    faults.failAfter = 0;
+    faults.failCount = 1;
+    const FaultInjectingBackend flaky(proto.clone(), faults);
+    ParallelBackend retried(flaky, 2019, fastRuntime(4, 32, 1));
+    ASSERT_EQ(retried.numThreads(), 4u);
+    const Counts actual = retried.run(circuit, 2048);
+
+    EXPECT_EQ(actual.raw(), expected.raw());
+    const RuntimeStats& stats = retried.lastRunStats();
+    std::size_t busyWorkers = 0;
+    std::uint64_t workerShots = 0;
+    for (const std::uint64_t shots : stats.perWorkerShots) {
+        busyWorkers += shots > 0 ? 1 : 0;
+        workerShots += shots;
+    }
+    EXPECT_GE(busyWorkers, 1u);
+    EXPECT_EQ(workerShots, 2048u);
+    EXPECT_EQ(stats.outcome.retriedBatches, busyWorkers);
+    EXPECT_EQ(stats.outcome.totalRetries, busyWorkers);
+    EXPECT_TRUE(stats.outcome.complete());
+}
+
 TEST_F(FaultInjection, ExhaustedRetriesThrowTaxonomyType)
 {
     // Every call on every worker fails: retries run out and the
@@ -323,6 +360,35 @@ TEST_F(FaultInjection, EnvSelectedFaultsExerciseTheRetryPath)
     ParallelBackend faulty(proto, 5, fastRuntime(2, 64, 10));
     ASSERT_EQ(unsetenv("INVERTQ_FAULTS"), 0);
     EXPECT_EQ(faulty.run(circuit, 1024).raw(), expected.raw());
+}
+
+TEST_F(FaultInjection, ClonedWorkersFailOnDifferentCallIndices)
+{
+    // cloneWorkers offsets each injector's seed by the worker's
+    // position: under one rate spec the workers must not fail in
+    // lockstep on the same call indices.
+    ASSERT_EQ(setenv("INVERTQ_FAULTS", "rate=0.5,seed=77", 1), 0);
+    const IdealSimulator proto(3, 42);
+    const std::vector<std::unique_ptr<ShardedBackend>> workers =
+        cloneWorkers(proto, 2);
+    ASSERT_EQ(unsetenv("INVERTQ_FAULTS"), 0);
+    ASSERT_EQ(workers.size(), 2u);
+
+    Circuit c(3);
+    c.measureAll();
+    std::vector<std::vector<bool>> failed(2);
+    for (std::size_t w = 0; w < 2; ++w) {
+        for (int call = 0; call < 64; ++call) {
+            Rng rng(1);
+            try {
+                (void)workers[w]->run(c, 1, rng);
+                failed[w].push_back(false);
+            } catch (const TransientError&) {
+                failed[w].push_back(true);
+            }
+        }
+    }
+    EXPECT_NE(failed[0], failed[1]);
 }
 
 TEST_F(FaultInjection, MalformedEnvSpecFailsLoudly)

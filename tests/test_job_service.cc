@@ -239,6 +239,34 @@ TEST_F(JobServiceTest, UnregisteredMachineThrows)
         std::invalid_argument);
 }
 
+TEST_F(JobServiceTest, MaxRetriesBelowTheDefaultSentinelIsRejected)
+{
+    JobService service(serviceOptions(1));
+    service.registerMachine(
+        "ibmqx2", TrajectorySimulator(
+                      makeMachine("ibmqx2").noiseModel(), 3));
+    const Circuit circuit = physicalBv("ibmqx2", 2, 0b11);
+    JobOptions options;
+    options.tenant = "alice";
+    options.batchSize = 64;
+    options.maxRetries = -2;
+    EXPECT_THROW(
+        (void)service.submit("ibmqx2", circuit, 128, options),
+        std::invalid_argument);
+
+    // The rejected submission consumed neither the tenant's
+    // sequence number nor a job id: the next auto-keyed job is
+    // still key 0, id 1.
+    options.maxRetries = -1;
+    JobHandle handle =
+        service.submit("ibmqx2", circuit, 128, options);
+    handle.wait();
+    EXPECT_EQ(handle.status(), JobStatus::Completed);
+    EXPECT_EQ(handle.record().jobKey, 0u);
+    EXPECT_EQ(handle.record().id, 1u);
+    EXPECT_EQ(service.summary().submitted, 1u);
+}
+
 TEST_F(JobServiceTest, ZeroShotJobCompletesEmpty)
 {
     JobService service(serviceOptions(1));

@@ -10,10 +10,6 @@
  * Random circuits over every stride combination are replayed under
  * each implementation and the amplitude arrays compared with
  * operator== on the raw doubles.
- *
- * Gate fusion is checked at the same level but with a tolerance:
- * a fused 4x4 product is a different (mathematically equal) FP
- * expression, so fused amplitudes agree to rounding, not bits.
  */
 
 #include <cmath>
@@ -220,52 +216,6 @@ TEST(Kernels, TranspiledPaperCircuitsMatchBitForBit)
                 ASSERT_EQ(got.amplitude(x), ref.amplitude(x))
                     << kernels::name(impl) << " " << name << " "
                     << x;
-        }
-    }
-}
-
-TEST(Kernels, FusedEvolutionMatchesScalarReferenceWithinTolerance)
-{
-    // Fusion changes the FP expression (one 4x4 product vs a gate
-    // run), so this is a tolerance check, under every kernel impl:
-    // fused amplitudes must match the scalar unfused reference to
-    // near machine precision on random transpiled circuits.
-    KernelGuard guard;
-    Rng secrets(31337);
-    for (const char* name : {"ibmqx2", "ibmqx4"}) {
-        const Machine machine = makeMachine(name);
-        const Transpiler transpiler(machine);
-        const NoiseModel clean(machine.noiseModel().numQubits());
-        for (int round = 0; round < 4; ++round) {
-            const auto secret =
-                static_cast<BasisState>(secrets.index(8));
-            const Circuit c =
-                transpiler
-                    .transpile(bernsteinVazirani(
-                        4, static_cast<unsigned>(secret)))
-                    .circuit;
-            TrajectoryOptions fusedOpt;
-            fusedOpt.fuseGates = true;
-            const NoiseProgram plain =
-                NoiseProgram::lower(c, clean, TrajectoryOptions{});
-            const NoiseProgram fused =
-                NoiseProgram::lower(c, clean, fusedOpt);
-            ASSERT_GT(fused.fusedSteps(), 0u);
-
-            ASSERT_TRUE(kernels::setActive(kernels::Impl::Scalar));
-            StateVector ref(plain.compactQubits());
-            Rng r0(1);
-            plain.evolve(ref, r0);
-            for (const kernels::Impl impl :
-                 kernels::availableImpls()) {
-                ASSERT_TRUE(kernels::setActive(impl));
-                StateVector got(fused.compactQubits());
-                Rng r1(1);
-                fused.evolve(got, r1);
-                EXPECT_NEAR(got.fidelity(ref), 1.0, 1e-12)
-                    << kernels::name(impl) << " " << name
-                    << " round=" << round;
-            }
         }
     }
 }

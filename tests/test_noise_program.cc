@@ -170,9 +170,9 @@ TEST(NoiseProgram, CompiledRunMatchesDirectRun)
 class TrajectoryExactGolden
 {
   public:
-    explicit TrajectoryExactGolden(
-        const std::string& file = "trajectory_program.json")
-        : path_(std::string(QEM_GOLDEN_DIR) + "/" + file),
+    TrajectoryExactGolden()
+        : path_(std::string(QEM_GOLDEN_DIR) +
+                "/trajectory_program.json"),
           update_(verify::GoldenStore::updateRequested())
     {
     }
@@ -251,168 +251,6 @@ TEST(NoiseProgram, PrecompiledCountsMatchInterpreterGolden)
         }
         TrajectorySimulator serial(machine.noiseModel(), 33);
         golden.check(std::string(name) + "/bv4/serial",
-                     serial.run(c, 4096));
-        if (HasFatalFailure())
-            return;
-    }
-}
-
-/**
- * A circuit whose lowering has fusable unitary adjacency even under
- * full noise: stochastic steps follow each *source* op, so the
- * 15-step CCX decompositions fuse internally (15 -> 5 steps each)
- * while the stochastic layout around them is untouched.
- */
-Circuit
-ccxLadder()
-{
-    Circuit c(5);
-    c.h(0).cx(0, 1).ccx(0, 1, 2).cx(2, 3).ccx(2, 3, 4).measureAll();
-    return c;
-}
-
-TEST(NoiseProgram, FusionReducesStepsAndKeepsGateCount)
-{
-    const Machine machine = makeIbmqx2();
-    const Circuit c = ccxLadder();
-    TrajectoryOptions fused;
-    fused.fuseGates = true;
-    const NoiseProgram plain = NoiseProgram::lower(
-        c, machine.noiseModel(), TrajectoryOptions{});
-    const NoiseProgram opt =
-        NoiseProgram::lower(c, machine.noiseModel(), fused);
-    EXPECT_EQ(plain.fusedSteps(), 0u);
-    // Each CCX decomposition collapses 15 unitary steps to 5.
-    EXPECT_GE(opt.fusedSteps(), 20u);
-    EXPECT_EQ(plain.size(), opt.size() + opt.fusedSteps());
-    EXPECT_EQ(plain.gatesPerTrajectory(), opt.gatesPerTrajectory());
-    EXPECT_EQ(plain.stochastic(), opt.stochastic());
-
-    // Full-noise transpiled BV has a stochastic step after every
-    // unitary, so there is nothing to fuse — and fusion must not
-    // invent anything.
-    const Transpiler transpiler(machine);
-    const Circuit bv =
-        transpiler.transpile(bernsteinVazirani(4, 0b0111)).circuit;
-    const NoiseProgram bvPlain = NoiseProgram::lower(
-        bv, machine.noiseModel(), TrajectoryOptions{});
-    const NoiseProgram bvOpt =
-        NoiseProgram::lower(bv, machine.noiseModel(), fused);
-    EXPECT_EQ(bvOpt.fusedSteps(), 0u);
-    EXPECT_EQ(bvPlain.size(), bvOpt.size());
-}
-
-TEST(NoiseProgram, FusionPreservesDrawStream)
-{
-    // Fusion merges only unitary steps, which consume no RNG draws:
-    // with every stochastic step drawing a *state-independent*
-    // amount (gate errors: one bernoulli at constant p, plus Pauli
-    // picks on fire), a fused trajectory must consume the stream
-    // bit-identically to the unfused one, including branch outcomes.
-    // Decay channels are excluded here by design, not convenience:
-    // they skip their draw entirely when the qubit has exactly zero
-    // |1> population, and fused 4x4 products can turn an exact-zero
-    // amplitude into a ~1e-17 rounding residue (or vice versa),
-    // legitimately changing how many draws the channel consumes —
-    // that full-noise behavior is pinned deterministically by the
-    // fused golden instead.
-    for (const char* name : {"ibmqx2", "ibmqx4"}) {
-        const Machine machine = makeMachine(name);
-        const Circuit c = ccxLadder();
-        TrajectoryOptions plainOpt;
-        plainOpt.enableDecay = false;
-        TrajectoryOptions fusedOpt = plainOpt;
-        fusedOpt.fuseGates = true;
-        const NoiseProgram plain =
-            NoiseProgram::lower(c, machine.noiseModel(), plainOpt);
-        const NoiseProgram fused = NoiseProgram::lower(
-            c, machine.noiseModel(), fusedOpt);
-        ASSERT_TRUE(plain.stochastic());
-        ASSERT_GT(fused.fusedSteps(), 0u);
-
-        Rng rp(515), rf(515);
-        StateVector a(plain.compactQubits());
-        StateVector b(fused.compactQubits());
-        for (int i = 0; i < 100; ++i) {
-            a.resetTo(0);
-            b.resetTo(0);
-            const TrajectoryEvents ep = plain.evolve(a, rp);
-            const TrajectoryEvents ef = fused.evolve(b, rf);
-            ASSERT_EQ(ep.gateErrors, ef.gateErrors)
-                << name << " trajectory " << i;
-            ASSERT_EQ(ep.decayEvents, ef.decayEvents)
-                << name << " trajectory " << i;
-            // Streams must sit at the same position after every
-            // trajectory, not merely at the end.
-            Rng peekP = rp, peekF = rf;
-            ASSERT_EQ(peekP.uniform(), peekF.uniform())
-                << name << " trajectory " << i;
-            // Same draws + same branches: the trajectories describe
-            // the same physical path, so amplitudes agree to
-            // rounding.
-            ASSERT_NEAR(a.fidelity(b), 1.0, 1e-9)
-                << name << " trajectory " << i;
-        }
-    }
-}
-
-TEST(NoiseProgram, FusionMatchesUnfusedOnCleanCircuits)
-{
-    // With no stochastic step the fused program is one long unitary
-    // contraction; the final state must match the gate-by-gate
-    // evolution up to FP rounding on every machine topology.
-    for (const char* name : {"ibmqx2", "ibmqx4"}) {
-        const Machine machine = makeMachine(name);
-        const Transpiler transpiler(machine);
-        const Circuit c =
-            transpiler.transpile(bernsteinVazirani(4, 0b0110))
-                .circuit;
-        TrajectoryOptions fusedOpt;
-        fusedOpt.fuseGates = true;
-        const NoiseModel clean(machine.noiseModel().numQubits());
-        const NoiseProgram plain =
-            NoiseProgram::lower(c, clean, TrajectoryOptions{});
-        const NoiseProgram fused =
-            NoiseProgram::lower(c, clean, fusedOpt);
-        ASSERT_FALSE(fused.stochastic());
-        EXPECT_LT(fused.size(), plain.size());
-
-        Rng rng(0);
-        StateVector a(plain.compactQubits());
-        StateVector b(fused.compactQubits());
-        plain.evolve(a, rng);
-        fused.evolve(b, rng);
-        EXPECT_NEAR(a.fidelity(b), 1.0, 1e-12) << name;
-    }
-}
-
-TEST(NoiseProgram, FusedCountsMatchFusedGolden)
-{
-    // Fused amplitudes round differently, so fused mode pins its own
-    // exact-counts golden (trajectory_fused.json) rather than
-    // reusing the unfused one; both regenerate via --update-golden.
-    TrajectoryExactGolden golden("trajectory_fused.json");
-    TrajectoryOptions fusedOpt;
-    fusedOpt.fuseGates = true;
-    const Circuit c = ccxLadder();
-    for (const char* name : {"ibmqx2", "ibmqx4"}) {
-        const Machine machine = makeMachine(name);
-        for (unsigned threads : {1u, 4u}) {
-            const TrajectorySimulator proto(machine.noiseModel(), 11,
-                                            fusedOpt);
-            ParallelBackend backend(
-                proto, 2027,
-                RuntimeOptions{.numThreads = threads,
-                               .batchSize = 128});
-            golden.check(std::string(name) + "/ccx5/t" +
-                             std::to_string(threads),
-                         backend.run(c, 4096));
-            if (HasFatalFailure())
-                return;
-        }
-        TrajectorySimulator serial(machine.noiseModel(), 33,
-                                   fusedOpt);
-        golden.check(std::string(name) + "/ccx5/serial",
                      serial.run(c, 4096));
         if (HasFatalFailure())
             return;

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -61,6 +62,17 @@ struct NamedFactory
      */
     bool exactTotal = true;
 };
+
+/**
+ * Print a parameter as its policy name. Without this gtest prints
+ * the struct's raw bytes, pointers included, and the listed test
+ * names would change with every build and every address layout.
+ */
+void
+PrintTo(const NamedFactory& factory, std::ostream* os)
+{
+    *os << factory.name;
+}
 
 class PolicyProperties
     : public ::testing::TestWithParam<NamedFactory>

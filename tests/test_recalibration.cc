@@ -29,7 +29,7 @@
 #include "machine/drift.hh"
 #include "machine/machines.hh"
 #include "noise/trajectory.hh"
-#include "runtime/resilient_backend.hh"
+#include "runtime/batch_attempt.hh"
 #include "service/job_service.hh"
 #include "service/recalibration.hh"
 #include "telemetry/flight_recorder.hh"

@@ -7,7 +7,7 @@
  * RNG contract; the DropBatches runs must account every lost batch.
  *
  * Named ServiceSoak (not *Fault*) on purpose: CI's fault-injection
- * smoke leg filters on `Fault|Resilient|RuntimeDeterminism`, and
+ * smoke leg filters on `Fault|BatchAttempt|RuntimeDeterminism`, and
  * the TSan leg runs this suite separately.
  */
 
