@@ -159,6 +159,41 @@ BM_AmplitudeDampingChannel(benchmark::State& state)
 }
 BENCHMARK(BM_AmplitudeDampingChannel)->Arg(5)->Arg(10)->Arg(14);
 
+/**
+ * One idle-decay step (amplitude then phase damping, the lowered
+ * program's DECAY) on the register sizes the Q14 suite compacts to,
+ * cycling the target qubit. Rates are ibmq_melbourne-like; the
+ * state is re-seeded every 4096 steps so it never settles in |0>.
+ */
+void
+BM_DecayStep(benchmark::State& state)
+{
+    const unsigned n = static_cast<unsigned>(state.range(0));
+    Rng rng(7);
+    StateVector sv(n);
+    const auto reseed = [&] {
+        sv.resetTo(0);
+        for (Qubit q = 0; q < n; ++q)
+            sv.applyMatrix1q(gateMatrix1q(GateKind::RY, {0.4 + 0.3 * q}),
+                             q);
+    };
+    reseed();
+    std::uint64_t steps = 0;
+    for (auto _ : state) {
+        if ((steps & 4095) == 4095)
+            reseed();
+        sv.applyDecay(static_cast<Qubit>(steps % n), 0.004, 0.006, rng);
+        ++steps;
+        benchmark::DoNotOptimize(sv.amplitude(0));
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["amps_per_sec"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) *
+            static_cast<double>(sv.dim()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_DecayStep)->Arg(6)->Arg(7)->Arg(8)->Arg(9);
+
 void
 BM_SampleShots(benchmark::State& state)
 {
@@ -173,6 +208,32 @@ BM_SampleShots(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_SampleShots)->Arg(5)->Arg(10)->Arg(14);
+
+/**
+ * 100k shots of a uniform 14-qubit register through
+ * IdealSimulator::run(): nearly every shot is a distinct outcome,
+ * so this row prices building the log from per-shot outcomes.
+ */
+void
+BM_IdealSampleQ14(benchmark::State& state)
+{
+    constexpr std::size_t kShots = 100000;
+    Circuit circuit(14);
+    for (Qubit q = 0; q < 14; ++q)
+        circuit.h(q);
+    circuit.measureAll();
+    const IdealSimulator sim(14, 3);
+    Rng rng(9);
+    for (auto _ : state) {
+        const Counts counts = sim.run(circuit, kShots, rng);
+        benchmark::DoNotOptimize(counts.total());
+    }
+    state.SetItemsProcessed(state.iterations() * kShots);
+    state.counters["shots_per_sec"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * kShots),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_IdealSampleQ14)->Unit(benchmark::kMillisecond);
 
 void
 BM_TrajectoryBv(benchmark::State& state)

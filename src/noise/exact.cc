@@ -153,7 +153,6 @@ DensityMatrixSimulator::run(const Circuit& circuit,
 {
     const std::vector<double> dist =
         observedDistribution(circuit);
-    Counts counts(circuit.numClbits());
     // Multinomial draw via the cumulative distribution.
     std::vector<double> cdf(dist.size());
     double acc = 0.0;
@@ -161,14 +160,16 @@ DensityMatrixSimulator::run(const Circuit& circuit,
         acc += dist[i];
         cdf[i] = acc;
     }
-    for (std::size_t s = 0; s < shots; ++s) {
+    std::vector<BasisState> outcomes(shots);
+    for (BasisState& outcome : outcomes) {
         const double r = rng_.uniform() * acc;
         const auto it =
             std::upper_bound(cdf.begin(), cdf.end(), r);
-        counts.add(static_cast<BasisState>(std::min<std::size_t>(
-            it - cdf.begin(), cdf.size() - 1)));
+        outcome = static_cast<BasisState>(std::min<std::size_t>(
+            it - cdf.begin(), cdf.size() - 1));
     }
-    return counts;
+    return Counts::fromOutcomes(circuit.numClbits(),
+                                std::move(outcomes));
 }
 
 } // namespace qem

@@ -301,15 +301,10 @@ NoiseProgram::evolve(StateVector& state, Rng& rng) const
                 applyErrorPauli(state, s.q1, pauli_b);
             }
             break;
-          case NoiseStep::Kind::DECAY: {
-            const DampingResult amp =
-                state.applyAmplitudeDamping(s.q0, s.a, rng);
-            const DampingResult phase =
-                state.applyPhaseDamping(s.q0, s.b, rng);
-            if (amp.applied || phase.applied)
+          case NoiseStep::Kind::DECAY:
+            if (state.applyDecay(s.q0, s.a, s.b, rng).applied)
                 ++ev.decayEvents;
             break;
-          }
         }
     }
     return ev;

@@ -211,12 +211,14 @@ class CompiledTrajectoryRun final : public ShardedBackend::CompiledRun
 
         Counts counts(numClbits_);
         // Narrow classical registers accumulate into a dense bin
-        // array (one increment per shot) and flush into the
-        // outcome map once at the end; wide ones fall back to
-        // per-shot map insertion.
+        // array (one increment per shot); wide ones collect the
+        // outcomes. Either way the log is built once at the end.
         const bool dense = numClbits_ <= 12;
         std::vector<std::uint64_t> bins(
             dense ? std::size_t{1} << numClbits_ : 0, 0);
+        std::vector<BasisState> wide;
+        if (!dense)
+            wide.reserve(shots);
         const bool fastReadout = !readoutP01_.empty();
         // Context-dependent (correlated) readout: flipProbability
         // is a pure function of (qubit, truth state), so its values
@@ -308,7 +310,7 @@ class CompiledTrajectoryRun final : public ShardedBackend::CompiledRun
                 if (dense)
                     ++bins[out];
                 else
-                    counts.add(out);
+                    wide.push_back(out);
             }
         }
         if (dense) {
@@ -316,6 +318,8 @@ class CompiledTrajectoryRun final : public ShardedBackend::CompiledRun
                 if (bins[i] > 0)
                     counts.add(static_cast<BasisState>(i), bins[i]);
             }
+        } else {
+            counts = Counts::fromOutcomes(numClbits_, std::move(wide));
         }
         if (tele) {
             telemetry::MetricsRegistry& m = telemetry::metrics();

@@ -9,11 +9,44 @@
 namespace qem
 {
 
+namespace
+{
+
+/** lower_bound order of log entries against an outcome. */
+bool
+entryBefore(const std::pair<BasisState, std::uint64_t>& entry,
+            BasisState outcome)
+{
+    return entry.first < outcome;
+}
+
+} // namespace
+
 Counts::Counts(unsigned num_bits)
     : numBits_(num_bits)
 {
     if (num_bits > 64)
         throw std::invalid_argument("Counts: more than 64 bits");
+}
+
+Counts
+Counts::fromOutcomes(unsigned num_bits, std::vector<BasisState> outcomes)
+{
+    Counts out(num_bits);
+    if (outcomes.empty())
+        return out;
+    std::sort(outcomes.begin(), outcomes.end());
+    if (num_bits < 64 && (outcomes.back() >> num_bits) != 0)
+        throw std::out_of_range("Counts::fromOutcomes: outcome wider "
+                                "than the classical register");
+    for (BasisState outcome : outcomes) {
+        if (!out.counts_.empty() && out.counts_.back().first == outcome)
+            ++out.counts_.back().second;
+        else
+            out.counts_.emplace_back(outcome, 1);
+    }
+    out.total_ = outcomes.size();
+    return out;
 }
 
 void
@@ -22,15 +55,39 @@ Counts::add(BasisState outcome, std::uint64_t n)
     if (numBits_ < 64 && (outcome >> numBits_) != 0)
         throw std::out_of_range("Counts::add: outcome wider than the "
                                 "classical register");
-    counts_[outcome] += n;
     total_ += n;
+    if (counts_.empty() || counts_.back().first < outcome) {
+        counts_.emplace_back(outcome, n);
+        return;
+    }
+    const auto it = std::lower_bound(counts_.begin(), counts_.end(),
+                                     outcome, entryBefore);
+    if (it->first == outcome)
+        it->second += n;
+    else
+        counts_.insert(it, {outcome, n});
 }
 
 std::uint64_t
 Counts::get(BasisState outcome) const
 {
-    auto it = counts_.find(outcome);
-    return it == counts_.end() ? 0 : it->second;
+    const auto it = std::lower_bound(counts_.begin(), counts_.end(),
+                                     outcome, entryBefore);
+    return it == counts_.end() || it->first != outcome ? 0
+                                                       : it->second;
+}
+
+void
+Counts::assignUnsorted(Log entries)
+{
+    std::sort(entries.begin(), entries.end());
+    for (const auto& [outcome, n] : entries) {
+        if (!counts_.empty() && counts_.back().first == outcome)
+            counts_.back().second += n;
+        else
+            counts_.emplace_back(outcome, n);
+        total_ += n;
+    }
 }
 
 double
@@ -45,8 +102,7 @@ Counts::probability(BasisState outcome) const
 std::vector<std::pair<BasisState, std::uint64_t>>
 Counts::sortedByCount() const
 {
-    std::vector<std::pair<BasisState, std::uint64_t>> out(
-        counts_.begin(), counts_.end());
+    Log out = counts_;
     std::sort(out.begin(), out.end(),
               [](const auto& a, const auto& b) {
                   if (a.second != b.second)
@@ -69,16 +125,39 @@ Counts::merge(const Counts& other)
 {
     if (other.numBits_ != numBits_)
         throw std::invalid_argument("Counts::merge: bit width mismatch");
-    for (const auto& [outcome, n] : other.counts_)
-        add(outcome, n);
+    Log merged;
+    merged.reserve(counts_.size() + other.counts_.size());
+    auto a = counts_.begin();
+    auto b = other.counts_.begin();
+    while (a != counts_.end() && b != other.counts_.end()) {
+        if (a->first < b->first) {
+            merged.push_back(*a++);
+        } else if (b->first < a->first) {
+            merged.push_back(*b++);
+        } else {
+            merged.emplace_back(a->first, a->second + b->second);
+            ++a;
+            ++b;
+        }
+    }
+    merged.insert(merged.end(), a, counts_.end());
+    merged.insert(merged.end(), b, other.counts_.end());
+    counts_ = std::move(merged);
+    total_ += other.total_;
 }
 
 Counts
 Counts::xorAll(BasisState mask) const
 {
-    Counts out(numBits_);
+    if (!counts_.empty() && numBits_ < 64 && (mask >> numBits_) != 0)
+        throw std::out_of_range("Counts::xorAll: mask wider than the "
+                                "classical register");
+    Log flipped;
+    flipped.reserve(counts_.size());
     for (const auto& [outcome, n] : counts_)
-        out.add(outcome ^ mask, n);
+        flipped.emplace_back(outcome ^ mask, n);
+    Counts out(numBits_);
+    out.assignUnsorted(std::move(flipped));
     return out;
 }
 
@@ -90,14 +169,17 @@ Counts::marginalize(const std::vector<unsigned>& bits) const
             throw std::out_of_range("Counts::marginalize: bit out of "
                                     "range");
     }
-    Counts out(static_cast<unsigned>(bits.size()));
+    Log reduced;
+    reduced.reserve(counts_.size());
     for (const auto& [outcome, n] : counts_) {
-        BasisState reduced = 0;
+        BasisState r = 0;
         for (std::size_t i = 0; i < bits.size(); ++i)
-            reduced = setBit(reduced, static_cast<unsigned>(i),
-                             getBit(outcome, bits[i]));
-        out.add(reduced, n);
+            r = setBit(r, static_cast<unsigned>(i),
+                       getBit(outcome, bits[i]));
+        reduced.emplace_back(r, n);
     }
+    Counts out(static_cast<unsigned>(bits.size()));
+    out.assignUnsorted(std::move(reduced));
     return out;
 }
 

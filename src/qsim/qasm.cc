@@ -1,6 +1,7 @@
 #include "qsim/qasm.hh"
 
 #include <cctype>
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -34,10 +35,15 @@ parseError(std::size_t line_no, const std::string& what)
     throw std::invalid_argument(os.str());
 }
 
-/** Parse "q[3]" -> 3 (register name validated by caller). */
+/**
+ * Parse "q[3]" -> 3 (register name validated by caller). The index
+ * must be plain decimal digits no larger than @p max: a sign, an
+ * empty index or an out-of-range value is a parse error, never a
+ * truncated or wrapped number.
+ */
 unsigned
 parseIndex(const std::string& token, const std::string& reg,
-           std::size_t line_no)
+           unsigned max, std::size_t line_no)
 {
     const std::string prefix = reg + "[";
     if (token.size() < prefix.size() + 2 ||
@@ -46,14 +52,25 @@ parseIndex(const std::string& token, const std::string& reg,
         parseError(line_no, "expected " + reg + "[i], got '" + token +
                             "'");
     }
-    try {
-        return static_cast<unsigned>(std::stoul(
-            token.substr(prefix.size(),
-                         token.size() - prefix.size() - 1)));
-    } catch (...) {
-        parseError(line_no, "bad register index in '" + token + "'");
+    const std::string digits =
+        token.substr(prefix.size(), token.size() - prefix.size() - 1);
+    std::uint64_t value = 0;
+    for (char c : digits) {
+        if (!std::isdigit(static_cast<unsigned char>(c)))
+            parseError(line_no, "bad register index in '" + token +
+                                "'");
+        value = value * 10 + static_cast<unsigned>(c - '0');
+        if (value > max) {
+            parseError(line_no, "register index in '" + token +
+                                "' exceeds " + std::to_string(max));
+        }
     }
+    return static_cast<unsigned>(value);
 }
+
+/** Largest index accepted in a q[...] / c[...] token. */
+constexpr unsigned kMaxQubitIndex = maxSimulatedQubits;
+constexpr unsigned kMaxClbitIndex = 64;
 
 /** Split "a, b ,c" on commas and trim whitespace. */
 std::vector<std::string>
@@ -151,8 +168,8 @@ fromQasm(const std::string& text)
             continue;
         }
         if (line.rfind("qreg", 0) == 0) {
-            num_qubits = static_cast<int>(
-                parseIndex(line.substr(5), "q", line_no));
+            num_qubits = static_cast<int>(parseIndex(
+                line.substr(5), "q", kMaxQubitIndex, line_no));
             if (num_clbits >= 0 || !holder.empty())
                 parseError(line_no, "qreg after creg/statements");
             continue;
@@ -160,8 +177,8 @@ fromQasm(const std::string& text)
         if (line.rfind("creg", 0) == 0) {
             if (num_qubits < 0)
                 parseError(line_no, "creg before qreg");
-            num_clbits = static_cast<int>(
-                parseIndex(line.substr(5), "c", line_no));
+            num_clbits = static_cast<int>(parseIndex(
+                line.substr(5), "c", kMaxClbitIndex, line_no));
             holder.emplace_back(static_cast<unsigned>(num_qubits),
                                 num_clbits);
             continue;
@@ -180,13 +197,14 @@ fromQasm(const std::string& text)
             if (lhs.size() != 1 || rhs.size() != 1)
                 parseError(line_no, "measure takes one qubit and "
                                     "one clbit");
-            circuit().measure(parseIndex(lhs[0], "q", line_no),
-                              parseIndex(rhs[0], "c", line_no));
+            circuit().measure(
+                parseIndex(lhs[0], "q", kMaxQubitIndex, line_no),
+                parseIndex(rhs[0], "c", kMaxClbitIndex, line_no));
             continue;
         }
         if (line.rfind("reset", 0) == 0) {
-            circuit().reset(parseIndex(
-                splitArgs(line.substr(5)).at(0), "q", line_no));
+            circuit().reset(parseIndex(splitArgs(line.substr(5)).at(0),
+                                       "q", kMaxQubitIndex, line_no));
             continue;
         }
 
@@ -224,7 +242,8 @@ fromQasm(const std::string& text)
         op.kind = it->second;
         op.params = std::move(params);
         for (const std::string& q : splitArgs(line.substr(rest)))
-            op.qubits.push_back(parseIndex(q, "q", line_no));
+            op.qubits.push_back(
+                parseIndex(q, "q", kMaxQubitIndex, line_no));
         try {
             circuit().append(std::move(op));
         } catch (const std::exception& e) {

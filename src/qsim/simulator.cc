@@ -52,10 +52,11 @@ IdealSimulator::run(const Circuit& circuit, std::size_t shots,
         throw std::invalid_argument("IdealSimulator::run: circuit has "
                                     "no measurements");
     const StateVector state = stateOf(circuit);
-    Counts counts(circuit.numClbits());
-    for (BasisState full : state.sample(rng, shots))
-        counts.add(circuit.classicalOutcome(full));
-    return counts;
+    std::vector<BasisState> outcomes = state.sample(rng, shots);
+    for (BasisState& outcome : outcomes)
+        outcome = circuit.classicalOutcome(outcome);
+    return Counts::fromOutcomes(circuit.numClbits(),
+                                std::move(outcomes));
 }
 
 namespace
@@ -78,14 +79,13 @@ class CompiledIdealRun final : public ShardedBackend::CompiledRun
         std::vector<double> cdf;
         std::vector<BasisState> samples;
         state_.sampleInto(rng, shots, cdf, samples);
-        Counts counts(numClbits_);
-        for (BasisState full : samples) {
+        for (BasisState& sample : samples) {
             BasisState out = 0;
             for (const auto& [qubit, cbit] : outcomeMap_)
-                out = setBit(out, cbit, getBit(full, qubit));
-            counts.add(out);
+                out = setBit(out, cbit, getBit(sample, qubit));
+            sample = out;
         }
-        return counts;
+        return Counts::fromOutcomes(numClbits_, std::move(samples));
     }
 
   private:

@@ -9,6 +9,55 @@
 namespace qem
 {
 
+namespace
+{
+
+/**
+ * Sum of |amps[i]|^2 over the n/2 indices i with bit @p stride set,
+ * in one pass. The k-th such index (ascending) feeds accumulator
+ * k % 4 and the four partial sums combine as (s0 + s1) + (s2 + s3):
+ * four independent add chains instead of one serial chain, in an
+ * order fixed by the state alone.
+ */
+double
+populationOne(const Amplitude* amps, std::size_t n, std::size_t stride)
+{
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    if (stride >= 4) {
+        for (std::size_t base = stride; base < n; base += 2 * stride) {
+            for (std::size_t i = base; i < base + stride; i += 4) {
+                s0 += std::norm(amps[i]);
+                s1 += std::norm(amps[i + 1]);
+                s2 += std::norm(amps[i + 2]);
+                s3 += std::norm(amps[i + 3]);
+            }
+        }
+        return (s0 + s1) + (s2 + s3);
+    }
+    // Narrow strides: the k-th index is k with a set bit inserted
+    // at the stride position.
+    const std::size_t low = stride - 1;
+    const auto one = [&](std::size_t k) -> const Amplitude& {
+        return amps[((k & ~low) << 1) | stride | (k & low)];
+    };
+    const std::size_t half = n / 2;
+    std::size_t k = 0;
+    for (; k + 4 <= half; k += 4) {
+        s0 += std::norm(one(k));
+        s1 += std::norm(one(k + 1));
+        s2 += std::norm(one(k + 2));
+        s3 += std::norm(one(k + 3));
+    }
+    // Registers of one or two qubits: fewer than four indices.
+    if (k < half)
+        s0 += std::norm(one(k));
+    if (k + 1 < half)
+        s1 += std::norm(one(k + 1));
+    return (s0 + s1) + (s2 + s3);
+}
+
+} // namespace
+
 StateVector::StateVector(unsigned num_qubits)
     : StateVector(num_qubits, 0)
 {
@@ -219,98 +268,81 @@ StateVector::applyKraus1q(std::span<const Matrix2> kraus, Qubit q,
 DampingResult
 StateVector::applyAmplitudeDamping(Qubit q, double gamma, Rng& rng)
 {
-    if (gamma <= 0.0)
-        return {};
-    const double p1 = probabilityOne(q);
-    if (p1 <= 0.0)
-        return {}; // Channel acts trivially on |0>.
-    const double p_jump = gamma * p1;
-    const std::size_t stride = std::size_t{1} << q;
-    const std::size_t n = amps_.size();
-    if (rng.bernoulli(p_jump)) {
-        // Jump K1 = [[0, sqrt(g)], [0, 0]]: move the |1> component
-        // to |0>; the branch norm is p_jump, folded into the scale.
-        const double scale = 1.0 / std::sqrt(p1);
-        for (std::size_t base = 0; base < n; base += 2 * stride) {
-            for (std::size_t i = base; i < base + stride; ++i) {
-                amps_[i] = amps_[i + stride] * scale;
-                amps_[i + stride] = 0.0;
-            }
-        }
-        return {true, true};
-    }
-    // No-jump K0 = diag(1, sqrt(1-g)); branch norm is 1 - p_jump.
-    if (1.0 - p_jump <= 0.0) {
-        // Degenerate: p_jump rounded to 1 but the draw said no-jump
-        // (unreachable with Rng::bernoulli, which short-circuits
-        // p >= 1, but guarded so the rescale can never produce inf).
-        // The no-jump branch has zero norm; collapse into the only
-        // physical outcome, the jump.
-        const double scale = 1.0 / std::sqrt(p1);
-        for (std::size_t base = 0; base < n; base += 2 * stride) {
-            for (std::size_t i = base; i < base + stride; ++i) {
-                amps_[i] = amps_[i + stride] * scale;
-                amps_[i + stride] = 0.0;
-            }
-        }
-        return {true, true};
-    }
-    const double inv = 1.0 / std::sqrt(1.0 - p_jump);
-    const double keep = std::sqrt(1.0 - gamma) * inv;
-    for (std::size_t base = 0; base < n; base += 2 * stride) {
-        for (std::size_t i = base; i < base + stride; ++i) {
-            amps_[i] *= inv;
-            amps_[i + stride] *= keep;
-        }
-    }
-    return {true, false};
+    return applyDecay(q, gamma, 0.0, rng);
 }
 
 DampingResult
 StateVector::applyPhaseDamping(Qubit q, double lambda, Rng& rng)
 {
-    if (lambda <= 0.0)
+    return applyDecay(q, 0.0, lambda, rng);
+}
+
+DampingResult
+StateVector::applyDecay(Qubit q, double gamma, double lambda, Rng& rng)
+{
+    if (gamma <= 0.0 && lambda <= 0.0)
         return {};
-    const double p1 = probabilityOne(q);
-    if (p1 <= 0.0)
-        return {};
-    const double p_jump = lambda * p1;
     const std::size_t stride = std::size_t{1} << q;
     const std::size_t n = amps_.size();
-    if (rng.bernoulli(p_jump)) {
-        // Jump K1 = diag(0, sqrt(lambda)): project onto |1>.
-        const double scale = 1.0 / std::sqrt(p1);
-        for (std::size_t base = 0; base < n; base += 2 * stride) {
-            for (std::size_t i = base; i < base + stride; ++i) {
-                amps_[i] = 0.0;
-                amps_[i + stride] *= scale;
-            }
-        }
-        return {true, true};
-    }
-    // No-jump K0 = diag(1, sqrt(1-lambda)).
-    if (1.0 - p_jump <= 0.0) {
-        // Degenerate: same guard as amplitude damping — collapse
-        // into the zero-norm-complement jump outcome (|1> here)
+    // |1> population of the target; every later value is derived
+    // from it analytically, so the state is read exactly once.
+    double p1 = populationOne(amps_.data(), n, stride);
+    if (p1 <= 0.0)
+        return {}; // Both channels act trivially on |0>.
+    DampingResult result;
+    // The whole step is the diagonal scale diag(d0, d1) on the
+    // target qubit, except after a decay jump.
+    double d0 = 1.0;
+    double d1 = 1.0;
+    if (gamma > 0.0) {
+        result.applied = true;
+        const double p_jump = gamma * p1;
+        // The degenerate no-jump branch (1 - p_jump rounded to 0;
+        // unreachable with Rng::bernoulli, which short-circuits
+        // p >= 1) has zero norm, so it collapses into the jump too
         // rather than rescaling by 1/sqrt(0).
-        const double scale = 1.0 / std::sqrt(p1);
-        for (std::size_t base = 0; base < n; base += 2 * stride) {
-            for (std::size_t i = base; i < base + stride; ++i) {
-                amps_[i] = 0.0;
-                amps_[i + stride] *= scale;
+        if (rng.bernoulli(p_jump) || 1.0 - p_jump <= 0.0) {
+            // Jump K1 = [[0, sqrt(g)], [0, 0]]: move the |1>
+            // component to |0>; the branch norm p_jump folds into
+            // the scale. No |1> population is left, so the phase
+            // channel that follows is a no-op and draws nothing.
+            const double scale = 1.0 / std::sqrt(p1);
+            for (std::size_t base = 0; base < n; base += 2 * stride) {
+                for (std::size_t i = base; i < base + stride; ++i) {
+                    amps_[i] = amps_[i + stride] * scale;
+                    amps_[i + stride] = 0.0;
+                }
             }
+            result.jumped = true;
+            return result;
         }
-        return {true, true};
+        // No-jump K0 = diag(1, sqrt(1-g)); branch norm 1 - p_jump.
+        d0 = 1.0 / std::sqrt(1.0 - p_jump);
+        d1 = std::sqrt(1.0 - gamma) * d0;
+        p1 *= d1 * d1;
     }
-    const double inv = 1.0 / std::sqrt(1.0 - p_jump);
-    const double keep = std::sqrt(1.0 - lambda) * inv;
+    if (lambda > 0.0 && p1 > 0.0) {
+        result.applied = true;
+        const double p_jump = lambda * p1;
+        if (rng.bernoulli(p_jump) || 1.0 - p_jump <= 0.0) {
+            // Jump K1 = diag(0, sqrt(lambda)): project onto |1>.
+            d0 = 0.0;
+            d1 *= 1.0 / std::sqrt(p1);
+            result.jumped = true;
+        } else {
+            // No-jump K0 = diag(1, sqrt(1-lambda)).
+            const double inv = 1.0 / std::sqrt(1.0 - p_jump);
+            d0 *= inv;
+            d1 *= std::sqrt(1.0 - lambda) * inv;
+        }
+    }
     for (std::size_t base = 0; base < n; base += 2 * stride) {
         for (std::size_t i = base; i < base + stride; ++i) {
-            amps_[i] *= inv;
-            amps_[i + stride] *= keep;
+            amps_[i] *= d0;
+            amps_[i + stride] *= d1;
         }
     }
-    return {true, false};
+    return result;
 }
 
 bool
@@ -366,14 +398,8 @@ StateVector::probabilityOf(BasisState s) const
 double
 StateVector::probabilityOne(Qubit q) const
 {
-    const std::size_t stride = std::size_t{1} << q;
-    const std::size_t n = amps_.size();
-    double p = 0.0;
-    for (std::size_t base = stride; base < n; base += 2 * stride) {
-        for (std::size_t i = base; i < base + stride; ++i)
-            p += std::norm(amps_[i]);
-    }
-    return p;
+    return populationOne(amps_.data(), amps_.size(),
+                         std::size_t{1} << q);
 }
 
 std::vector<double>

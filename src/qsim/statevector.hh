@@ -109,26 +109,31 @@ class StateVector
                              Rng& rng);
 
     /**
-     * Trajectory branch of the amplitude-damping channel with decay
-     * probability @p gamma, specialized for speed (two passes versus
-     * the generic Kraus path's seven): the jump branch fires with
-     * probability gamma * P(q=1), and the surviving branch applies
-     * the no-jump Kraus operator; both are renormalized in-place.
+     * One trajectory step of the idle-decay channel on qubit @p q:
+     * amplitude damping with decay probability @p gamma, then phase
+     * damping with dephasing probability @p lambda, as one reduction
+     * over the |1> population plus one write pass.
      *
-     * @return Whether the channel acted at all and whether the decay
-     *         jump occurred (see DampingResult).
+     * Draws exactly what the two channels applied in sequence draw:
+     * bernoulli(gamma * p1) only when gamma > 0 and p1 > 0, then
+     * bernoulli(lambda * p1') only when lambda > 0 and p1' > 0,
+     * where p1' = d1^2 * p1 is the |1> population after the
+     * no-jump damping branch (derived, not re-read). Amplitudes
+     * match the sequential application up to rounding.
+     *
+     * @return applied: either channel acted; jumped: either jump
+     *         branch fired (see DampingResult).
      */
+    DampingResult applyDecay(Qubit q, double gamma, double lambda,
+                             Rng& rng);
+
+    /** applyDecay() with no dephasing: the amplitude-damping
+     *  trajectory branch alone. */
     DampingResult applyAmplitudeDamping(Qubit q, double gamma,
                                         Rng& rng);
 
-    /**
-     * Trajectory branch of the phase-damping channel with dephasing
-     * probability @p lambda; same fast path as
-     * applyAmplitudeDamping.
-     *
-     * @return Whether the channel acted at all and whether the
-     *         dephasing jump occurred (see DampingResult).
-     */
+    /** applyDecay() with no decay: the phase-damping trajectory
+     *  branch alone. */
     DampingResult applyPhaseDamping(Qubit q, double lambda, Rng& rng);
 
     /**

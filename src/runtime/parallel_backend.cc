@@ -1,5 +1,6 @@
 #include "runtime/parallel_backend.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -66,10 +67,12 @@ ParallelBackend::ParallelBackend(const ShardedBackend& prototype,
         throw std::invalid_argument("ParallelBackend: batch size "
                                     "must be nonzero");
     options_.backoff.validate();
+    // The calling thread is one of the executors, so the pool
+    // holds the other threads - 1.
     const unsigned threads = resolveThreads(options_.numThreads);
     workers_ = cloneWorkers(prototype, threads);
     if (threads > 1)
-        pool_ = std::make_unique<ThreadPool>(threads);
+        pool_ = std::make_unique<ThreadPool>(threads - 1);
 }
 
 Counts
@@ -140,35 +143,63 @@ ParallelBackend::run(const Circuit& circuit, std::size_t shots)
         }
     };
 
-    if (!pool_) {
-        for (const ShotBatch& batch : plan.batches())
-            runBatch(batch, 0);
-    } else {
-        std::vector<std::future<void>> futures;
-        futures.reserve(plan.numBatches());
-        for (const ShotBatch& batch : plan.batches()) {
-            const auto enqueued =
-                tele.queueWaitSeconds
-                    ? std::chrono::steady_clock::now()
-                    : std::chrono::steady_clock::time_point{};
-            futures.push_back(
-                pool_->submit([&runBatch, &tele, enqueued, batch] {
-                    if (tele.queueWaitSeconds) {
-                        tele.queueWaitSeconds->record(
-                            std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() -
-                                enqueued)
-                                .count());
-                    }
-                    runBatch(batch, static_cast<std::size_t>(
-                                        ThreadPool::workerIndex()));
-                }));
+    // Batches are handed out by an atomic cursor in index order;
+    // every executor claims the next one until none are left.
+    std::atomic<std::size_t> cursor{0};
+    const auto dispatched =
+        pool_ && tele.queueWaitSeconds
+            ? std::chrono::steady_clock::now()
+            : std::chrono::steady_clock::time_point{};
+    const auto drain = [&](std::size_t w) {
+        for (std::size_t i = cursor.fetch_add(1); i < plan.numBatches();
+             i = cursor.fetch_add(1)) {
+            if (pool_ && tele.queueWaitSeconds) {
+                tele.queueWaitSeconds->record(
+                    std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - dispatched)
+                        .count());
+            }
+            runBatch(plan.batches()[i], w);
         }
-        // Wait for every batch before touching the stack frame the
+    };
+
+    if (!pool_) {
+        drain(0);
+    } else {
+        // The caller executes batches on the last worker clone. A
+        // concurrent run() that finds that clone busy leaves all of
+        // its batches to the pool instead of waiting for it.
+        std::unique_lock<std::mutex> callerSlot(callerSlotMutex_,
+                                                std::try_to_lock);
+        const std::size_t callerShare = callerSlot.owns_lock() ? 1 : 0;
+        const std::size_t helpers = std::min<std::size_t>(
+            pool_->size(), plan.numBatches() > callerShare
+                               ? plan.numBatches() - callerShare
+                               : 0);
+        std::vector<std::future<void>> helperDone;
+        helperDone.reserve(helpers);
+        for (std::size_t h = 0; h < helpers; ++h) {
+            helperDone.push_back(pool_->submit([&drain] {
+                drain(static_cast<std::size_t>(
+                    ThreadPool::workerIndex()));
+            }));
+        }
+        std::exception_ptr callerError;
+        if (callerSlot.owns_lock()) {
+            try {
+                drain(workers_.size() - 1);
+            } catch (...) {
+                callerError = std::current_exception();
+            }
+            callerSlot.unlock();
+        }
+        // Wait for every helper before touching the stack frame the
         // tasks reference.
-        for (std::future<void>& f : futures)
+        for (std::future<void>& f : helperDone)
             f.wait();
-        for (std::future<void>& f : futures)
+        if (callerError)
+            std::rethrow_exception(callerError);
+        for (std::future<void>& f : helperDone)
             f.get();
     }
 

@@ -5,13 +5,15 @@
  * ParallelBackend wraps any ShardedBackend (TrajectorySimulator,
  * IdealSimulator): it clones one simulator per worker thread, splits
  * every run() into a ShotPlan of fixed-size batches, binds batch i
- * to the RNG substream derived at index i, runs batches concurrently
- * on the pool, and merges the per-batch histograms in batch-index
- * order. The merged Counts is bit-identical for the same seed
+ * to the RNG substream derived at index i, and merges the per-batch
+ * histograms in batch-index order. An atomic cursor hands batches
+ * out; the calling thread claims them beside at most
+ * min(batches - 1, pool size) pool helpers, so a one-batch run
+ * executes inline with no pool round trip. The merged Counts is bit-identical for the same seed
  * regardless of thread count (see docs/runtime.md).
  *
  * Failure semantics (docs/resilience.md): every batch runs through
- * attemptBatch(), inline in its pool task. A batch that throws
+ * attemptBatch(), inline on whichever thread claimed it. A batch that throws
  * TransientError is re-submitted with exponential backoff up to
  * RuntimeOptions::maxRetries times; each attempt re-derives its
  * index-keyed RNG substream, so the merged histogram is unchanged
@@ -41,7 +43,10 @@ namespace qem
 /** Tuning knobs for the parallel execution runtime. */
 struct RuntimeOptions
 {
-    /** Worker threads; 0 = one per hardware thread. */
+    /**
+     * Threads that execute batches, the calling thread included
+     * (the pool holds numThreads - 1); 0 = one per hardware thread.
+     */
     unsigned numThreads = 0;
     /** Shots per batch (the unit of parallel work). */
     std::size_t batchSize = 256;
@@ -82,7 +87,7 @@ class ParallelBackend : public Backend
         return workers_.front()->numQubits();
     }
 
-    /** Worker threads actually spawned. */
+    /** Threads that execute batches: the pool plus the caller. */
     unsigned numThreads() const
     {
         return static_cast<unsigned>(workers_.size());
@@ -127,6 +132,12 @@ class ParallelBackend : public Backend
   private:
     std::vector<std::unique_ptr<ShardedBackend>> workers_;
     std::unique_ptr<ThreadPool> pool_; // Null for a single worker.
+    /**
+     * Held by the run() executing batches on the last worker clone
+     * (the caller's); a concurrent run() that cannot take it leaves
+     * its batches to the pool.
+     */
+    std::mutex callerSlotMutex_;
     Rng rng_;
     RuntimeOptions options_;
     /** Guards stats_ and the per-run job-stream draw from rng_. */

@@ -55,10 +55,10 @@ Counts
 sampleFromCdf(const ConfusionCdf& cdf, BasisState truth,
               std::size_t shots, Rng& rng)
 {
-    Counts counts(cdf.numBits());
-    for (std::size_t s = 0; s < shots; ++s)
-        counts.add(cdf.sample(truth, rng.uniform()));
-    return counts;
+    std::vector<BasisState> outcomes(shots);
+    for (BasisState& outcome : outcomes)
+        outcome = cdf.sample(truth, rng.uniform());
+    return Counts::fromOutcomes(cdf.numBits(), std::move(outcomes));
 }
 
 } // namespace

@@ -56,8 +56,7 @@ void
 FlightRecorder::record(FlightEventKind kind, std::int64_t batch,
                        std::uint64_t value, std::string detail)
 {
-    recordAt(clock_ ? clock_() : 0.0, kind, batch, value,
-             std::move(detail));
+    append(0.0, true, kind, batch, value, std::move(detail));
 }
 
 void
@@ -65,14 +64,25 @@ FlightRecorder::recordAt(double t_seconds, FlightEventKind kind,
                          std::int64_t batch, std::uint64_t value,
                          std::string detail)
 {
+    append(t_seconds, false, kind, batch, value, std::move(detail));
+}
+
+void
+FlightRecorder::append(double t_seconds, bool stampNow,
+                       FlightEventKind kind, std::int64_t batch,
+                       std::uint64_t value, std::string detail)
+{
     FlightEvent event;
-    event.tSeconds = t_seconds;
     event.kind = kind;
     event.batch = batch;
     event.value = value;
     event.detail = std::move(detail);
 
     std::lock_guard<std::mutex> lock(mutex_);
+    // Read the clock under the lock that assigns seq, so clocked
+    // timestamps never run backwards against sequence order when
+    // several threads record into one job's recorder.
+    event.tSeconds = stampNow ? (clock_ ? clock_() : 0.0) : t_seconds;
     event.seq = total_++;
     if (ring_.size() < capacity_) {
         ring_.push_back(std::move(event));

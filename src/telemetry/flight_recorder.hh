@@ -101,6 +101,12 @@ class FlightRecorder
     JsonValue toJson() const;
 
   private:
+    /** Stamp (at clock() when @p stampNow, else @p t_seconds),
+     *  number and store one event. */
+    void append(double t_seconds, bool stampNow, FlightEventKind kind,
+                std::int64_t batch, std::uint64_t value,
+                std::string detail);
+
     const std::size_t capacity_;
     const std::function<double()> clock_;
     mutable std::mutex mutex_;

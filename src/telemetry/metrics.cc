@@ -163,10 +163,15 @@ MetricsRegistry::snapshot() const
 void
 MetricsRegistry::reset()
 {
+    // Zero in place: handles cached by other threads (and the ones
+    // a run resolved up front) stay valid across a reset.
     std::lock_guard<std::mutex> lock(mutex_);
-    counters_.clear();
-    gauges_.clear();
-    histograms_.clear();
+    for (auto& [name, c] : counters_)
+        c->reset();
+    for (auto& [name, g] : gauges_)
+        g->reset();
+    for (auto& [name, h] : histograms_)
+        h->reset();
 }
 
 } // namespace qem::telemetry

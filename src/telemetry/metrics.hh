@@ -171,7 +171,12 @@ class MetricsRegistry
 
     MetricsSnapshot snapshot() const;
 
-    /** Drop every registered metric (invalidates cached handles). */
+    /**
+     * Zero every registered metric in place. Names stay registered
+     * (a snapshot lists them with zero values) and every handle
+     * stays valid, so threads that cached one may keep using it
+     * concurrently with the reset.
+     */
     void reset();
 
   private:

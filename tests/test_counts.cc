@@ -3,6 +3,10 @@
  * Unit tests for the Counts output log.
  */
 
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "qsim/bitstring.hh"
@@ -120,6 +124,116 @@ TEST(Counts, ToStringShowsTopOutcomes)
     const std::string text = c.toString();
     EXPECT_NE(text.find("101"), std::string::npos);
     EXPECT_NE(text.find("total=4"), std::string::npos);
+}
+
+/** True when raw() is strictly ascending in outcome. */
+bool
+ascending(const Counts& c)
+{
+    const Counts::Log& log = c.raw();
+    for (std::size_t i = 1; i < log.size(); ++i) {
+        if (!(log[i - 1].first < log[i].first))
+            return false;
+    }
+    return true;
+}
+
+TEST(CountsLog, OutOfOrderAddKeepsAscendingLog)
+{
+    Counts c(4);
+    for (BasisState s : {9u, 3u, 12u, 3u, 0u, 15u, 9u, 7u})
+        c.add(s);
+    c.add(5, 4);
+    EXPECT_TRUE(ascending(c));
+    const Counts::Log expected = {{0, 1}, {3, 2}, {5, 4}, {7, 1},
+                                  {9, 2}, {12, 1}, {15, 1}};
+    EXPECT_EQ(c.raw(), expected);
+    EXPECT_EQ(c.total(), 12u);
+    EXPECT_EQ(c.distinct(), 7u);
+}
+
+TEST(CountsLog, FromOutcomesMatchesPerShotAdds)
+{
+    const std::vector<BasisState> shots = {6, 1, 6, 6, 0, 31, 1, 17};
+    Counts perShot(5);
+    for (BasisState s : shots)
+        perShot.add(s);
+    const Counts built = Counts::fromOutcomes(5, shots);
+    EXPECT_EQ(built.raw(), perShot.raw());
+    EXPECT_EQ(built.total(), perShot.total());
+    EXPECT_EQ(built.numBits(), 5u);
+    EXPECT_EQ(Counts::fromOutcomes(5, {}).total(), 0u);
+    EXPECT_THROW(Counts::fromOutcomes(2, {1, 4}), std::out_of_range);
+}
+
+TEST(CountsLog, MergeOfOverlappingLogsIsLinearAndExact)
+{
+    Counts a(4);
+    for (BasisState s : {1u, 4u, 4u, 9u, 14u})
+        a.add(s);
+    Counts b(4);
+    for (BasisState s : {0u, 4u, 9u, 9u, 15u})
+        b.add(s);
+    Counts merged = a;
+    merged.merge(b);
+    EXPECT_TRUE(ascending(merged));
+    const Counts::Log expected = {{0, 1}, {1, 1}, {4, 3},
+                                  {9, 3}, {14, 1}, {15, 1}};
+    EXPECT_EQ(merged.raw(), expected);
+    EXPECT_EQ(merged.total(), 10u);
+
+    // Disjoint tail, empty operands and self-consistency.
+    Counts tail(4);
+    tail.add(15, 2);
+    Counts head(4);
+    head.add(2, 3);
+    head.merge(tail);
+    EXPECT_EQ(head.raw(), (Counts::Log{{2, 3}, {15, 2}}));
+    head.merge(Counts(4));
+    EXPECT_EQ(head.total(), 5u);
+    Counts empty(4);
+    empty.merge(head);
+    EXPECT_EQ(empty.raw(), head.raw());
+    EXPECT_THROW(empty.merge(Counts(3)), std::invalid_argument);
+}
+
+TEST(CountsLog, XorAllAndMarginalizeKeepAscendingOrder)
+{
+    Counts c(4);
+    for (BasisState s = 0; s < 16; ++s)
+        c.add(s, s + 1);
+    for (BasisState mask : {0b0001u, 0b1010u, 0b1111u}) {
+        const Counts flipped = c.xorAll(mask);
+        EXPECT_TRUE(ascending(flipped)) << mask;
+        EXPECT_EQ(flipped.total(), c.total());
+        for (BasisState s = 0; s < 16; ++s)
+            EXPECT_EQ(flipped.get(s ^ mask), c.get(s));
+    }
+    const Counts marg = c.marginalize({3, 0});
+    EXPECT_TRUE(ascending(marg));
+    EXPECT_EQ(marg.distinct(), 4u);
+    EXPECT_EQ(marg.total(), c.total());
+    std::uint64_t lowBitsZero = 0; // bit3 = 0, bit0 = 0.
+    for (BasisState s = 0; s < 16; ++s) {
+        if ((s & 0b1001u) == 0)
+            lowBitsZero += s + 1;
+    }
+    EXPECT_EQ(marg.get(0), lowBitsZero);
+}
+
+TEST(CountsLog, GetOnAbsentOutcomesIsZero)
+{
+    Counts c(6);
+    EXPECT_EQ(c.get(0), 0u);
+    EXPECT_EQ(c.get(63), 0u);
+    c.add(10);
+    c.add(40, 3);
+    EXPECT_EQ(c.get(9), 0u);  // Below an entry.
+    EXPECT_EQ(c.get(11), 0u); // Between entries.
+    EXPECT_EQ(c.get(41), 0u); // Past the last entry.
+    EXPECT_EQ(c.get(1ULL << 40), 0u); // Wider than the register.
+    EXPECT_EQ(c.get(40), 3u);
+    EXPECT_DOUBLE_EQ(c.probability(11), 0.0);
 }
 
 } // namespace

@@ -8,13 +8,13 @@
  * effectiveness, and the exported audit manifest.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -558,10 +558,12 @@ class ServiceExactGolden
         const telemetry::JsonValue* rec = records->find(name);
         ASSERT_NE(rec, nullptr) << "no golden record " << name;
         ASSERT_EQ(rec->find("bits")->asUint(), counts.numBits());
-        std::map<BasisState, std::uint64_t> expected;
+        Counts::Log expected;
         for (const auto& [state, value] :
              rec->find("counts")->members())
-            expected[std::stoull(state)] = value.asUint();
+            expected.emplace_back(std::stoull(state), value.asUint());
+        // JSON keys sort as strings; the log sorts by outcome value.
+        std::sort(expected.begin(), expected.end());
         EXPECT_EQ(counts.raw(), expected)
             << name << ": service counts diverged bit-wise from "
             << "the recorded reference run";

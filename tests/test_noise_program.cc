@@ -7,9 +7,9 @@
  * thread counts on the paper machines.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 
@@ -201,10 +201,12 @@ class TrajectoryExactGolden
         const telemetry::JsonValue* rec = records->find(name);
         ASSERT_NE(rec, nullptr) << "no golden record " << name;
         ASSERT_EQ(rec->find("bits")->asUint(), counts.numBits());
-        std::map<BasisState, std::uint64_t> expected;
+        Counts::Log expected;
         for (const auto& [state, value] :
              rec->find("counts")->members())
-            expected[std::stoull(state)] = value.asUint();
+            expected.emplace_back(std::stoull(state), value.asUint());
+        // JSON keys sort as strings; the log sorts by outcome value.
+        std::sort(expected.begin(), expected.end());
         EXPECT_EQ(counts.raw(), expected)
             << name << ": precompiled counts diverged bit-wise "
             << "from the recorded interpreter run";

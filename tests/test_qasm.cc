@@ -3,6 +3,8 @@
  * Unit tests for OpenQASM 2.0 export/import.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "kernels/bv.hh"
@@ -137,6 +139,84 @@ TEST(Qasm, UnknownGateNamesTheOffender)
         EXPECT_NE(what.find("xyzzy"), std::string::npos) << what;
         EXPECT_NE(what.find("line 3"), std::string::npos) << what;
     }
+}
+
+/**
+ * Expect fromQasm(@p text) to fail with a parse error on @p line
+ * whose message contains @p needle.
+ */
+void
+expectParseError(const std::string& text, std::size_t line,
+                 const std::string& needle)
+{
+    try {
+        fromQasm(text);
+        FAIL() << "expected std::invalid_argument for:\n" << text;
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("line " + std::to_string(line) + ":"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find(needle), std::string::npos) << what;
+    }
+}
+
+TEST(QasmIndexRange, QregSizeBeyondUnsignedIsRejected)
+{
+    // Truncated to unsigned this is 1: a 1-qubit circuit.
+    expectParseError("qreg q[4294967297];\ncreg c[1];\n", 1,
+                     "q[4294967297]");
+}
+
+TEST(QasmIndexRange, QregSizeAboveSimulatorLimitIsRejected)
+{
+    expectParseError("qreg q[" +
+                         std::to_string(maxSimulatedQubits + 1) +
+                         "];\ncreg c[1];\n",
+                     1, "exceeds");
+    const Circuit widest = fromQasm(
+        "qreg q[" + std::to_string(maxSimulatedQubits) +
+        "];\ncreg c[1];\n");
+    EXPECT_EQ(widest.numQubits(), maxSimulatedQubits);
+}
+
+TEST(QasmIndexRange, GateOperandBeyondUnsignedIsRejected)
+{
+    // Truncated to unsigned this is q[0].
+    expectParseError("qreg q[2];\ncreg c[2];\nx q[4294967296];\n", 3,
+                     "q[4294967296]");
+}
+
+TEST(QasmIndexRange, MeasureTargetBeyondUnsignedIsRejected)
+{
+    // Truncated to unsigned this is c[0].
+    expectParseError("qreg q[2];\ncreg c[2];\n"
+                     "measure q[0] -> c[4294967296];\n",
+                     3, "c[4294967296]");
+}
+
+TEST(QasmIndexRange, NegativeCregSizeIsRejected)
+{
+    // stoul("-1") wraps to the largest value instead of failing.
+    expectParseError("qreg q[2];\ncreg c[-1];\n", 2, "c[-1]");
+}
+
+TEST(QasmIndexRange, NegativeQregSizeIsRejected)
+{
+    // A wrapped -1 reads as "no qreg yet": the error must name the
+    // bad token on line 1, not blame the creg.
+    expectParseError("qreg q[-1];\ncreg c[1];\n", 1, "q[-1]");
+}
+
+TEST(QasmIndexRange, SignedAndHugeIndicesAreRejected)
+{
+    expectParseError("qreg q[+2];\n", 1, "q[+2]");
+    expectParseError("qreg q[2];\ncreg c[65];\n", 2, "exceeds 64");
+    expectParseError("qreg q[2];\ncreg c[2];\n"
+                     "h q[99999999999999999999999];\n",
+                     3, "exceeds");
+    expectParseError("qreg q[2];\ncreg c[2];\nh q[0x1];\n", 3,
+                     "bad register index");
 }
 
 } // namespace

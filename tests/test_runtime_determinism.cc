@@ -6,6 +6,15 @@
  * both a Bernstein-Vazirani and a QAOA trajectory workload.
  */
 
+#include <algorithm>
+#include <future>
+#include <iterator>
+#include <memory>
+#include <mutex>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "kernels/benchmarks.hh"
@@ -180,6 +189,197 @@ TEST(ShotPlan, SubstreamsAreKeyedByIndexNotOrder)
         EXPECT_EQ(early.bits(), early2.bits());
         EXPECT_EQ(late.bits(), late2.bits());
     }
+}
+
+/**
+ * Which threads executed batches, shared by every clone of a
+ * ThreadRecordingBackend. A gated thread blocks in its first run()
+ * until release() so a test can hold the caller's worker clone busy.
+ */
+struct ThreadLog
+{
+    std::mutex mutex;
+    std::vector<std::thread::id> threads;
+    std::thread::id gated;
+    bool gateUsed = false;
+    std::promise<void> entered;
+    std::promise<void> releaseGate;
+    std::shared_future<void> released = releaseGate.get_future().share();
+};
+
+/** Trajectory backend with no compiled form that logs the thread of
+ *  every batch it runs. */
+class ThreadRecordingBackend final : public ShardedBackend
+{
+  public:
+    ThreadRecordingBackend(std::shared_ptr<ThreadLog> log)
+        : inner_(makeIbmqx4().noiseModel(), 7), log_(std::move(log))
+    {
+    }
+
+    using ShardedBackend::run;
+    Counts run(const Circuit& circuit, std::size_t shots) override
+    {
+        return inner_.run(circuit, shots);
+    }
+
+    Counts run(const Circuit& circuit, std::size_t shots,
+               Rng& rng) const override
+    {
+        bool wait = false;
+        {
+            std::lock_guard<std::mutex> lock(log_->mutex);
+            log_->threads.push_back(std::this_thread::get_id());
+            if (!log_->gateUsed &&
+                log_->gated == std::this_thread::get_id()) {
+                log_->gateUsed = true;
+                wait = true;
+            }
+        }
+        if (wait) {
+            log_->entered.set_value();
+            log_->released.wait();
+        }
+        return inner_.run(circuit, shots, rng);
+    }
+
+    unsigned numQubits() const override { return inner_.numQubits(); }
+
+    std::unique_ptr<ShardedBackend> clone() const override
+    {
+        return std::make_unique<ThreadRecordingBackend>(log_);
+    }
+
+  private:
+    TrajectorySimulator inner_;
+    std::shared_ptr<ThreadLog> log_;
+};
+
+TEST(RuntimeDeterminism, OneBatchRunExecutesOnTheCallingThread)
+{
+    auto log = std::make_shared<ThreadLog>();
+    const ThreadRecordingBackend proto(log);
+    ParallelBackend backend(
+        proto, 2019, RuntimeOptions{.numThreads = 4, .batchSize = 256});
+    ASSERT_EQ(backend.numThreads(), 4u);
+    const Counts counts =
+        backend.run(bernsteinVazirani(4, fromBitString("1011")), 200);
+    EXPECT_EQ(counts.total(), 200u);
+    {
+        std::lock_guard<std::mutex> lock(log->mutex);
+        ASSERT_FALSE(log->threads.empty());
+        for (const std::thread::id id : log->threads)
+            EXPECT_EQ(id, std::this_thread::get_id());
+    }
+    // The caller's shots land in the last worker slot.
+    const RuntimeStats stats = backend.statsSnapshot();
+    ASSERT_EQ(stats.perWorkerShots.size(), 4u);
+    EXPECT_EQ(stats.perWorkerShots.back(), 200u);
+    for (std::size_t w = 0; w + 1 < stats.perWorkerShots.size(); ++w)
+        EXPECT_EQ(stats.perWorkerShots[w], 0u) << w;
+}
+
+TEST(RuntimeDeterminism, CountsIdenticalAcross1_2_4Threads)
+{
+    // One-batch, few-batch and many-batch runs back to back on the
+    // same backend, so the caller/pool split differs per run.
+    const Circuit circuit = bernsteinVazirani(4, fromBitString("0111"));
+    const std::size_t shots[] = {100, 300, 2048, 64};
+    std::vector<Counts> byThreads[3];
+    const unsigned threads[3] = {1, 2, 4};
+    const TrajectorySimulator proto(makeIbmqx4().noiseModel(), 7);
+    for (int i = 0; i < 3; ++i) {
+        ParallelBackend backend(
+            proto, 77,
+            RuntimeOptions{.numThreads = threads[i], .batchSize = 128});
+        EXPECT_EQ(backend.numThreads(), threads[i]);
+        for (std::size_t n : shots)
+            byThreads[i].push_back(backend.run(circuit, n));
+    }
+    for (std::size_t k = 0; k < std::size(shots); ++k) {
+        EXPECT_EQ(byThreads[0][k].total(), shots[k]);
+        EXPECT_EQ(byThreads[0][k].raw(), byThreads[1][k].raw()) << k;
+        EXPECT_EQ(byThreads[0][k].raw(), byThreads[2][k].raw()) << k;
+    }
+}
+
+/** Counts of running @p first then @p second on a fresh backend. */
+std::pair<Counts, Counts>
+serialReplay(const Circuit& first, std::size_t firstShots,
+             const Circuit& second, std::size_t secondShots)
+{
+    const TrajectorySimulator proto(makeIbmqx4().noiseModel(), 7);
+    ParallelBackend backend(
+        proto, 31, RuntimeOptions{.numThreads = 1, .batchSize = 64});
+    Counts a = backend.run(first, firstShots);
+    Counts b = backend.run(second, secondShots);
+    return {std::move(a), std::move(b)};
+}
+
+TEST(RuntimeDeterminism, ConcurrentCallersMatchSerialReplay)
+{
+    const Circuit x = bernsteinVazirani(4, fromBitString("1011"));
+    const Circuit y = bernsteinVazirani(4, fromBitString("0110"));
+    const auto xThenY = serialReplay(x, 1024, y, 640);
+    const auto yThenX = serialReplay(y, 640, x, 1024);
+    const TrajectorySimulator proto(makeIbmqx4().noiseModel(), 7);
+    for (int round = 0; round < 6; ++round) {
+        ParallelBackend backend(
+            proto, 31, RuntimeOptions{.numThreads = 3, .batchSize = 64});
+        Counts fromX;
+        Counts fromY;
+        std::thread tx([&] { fromX = backend.run(x, 1024); });
+        std::thread ty([&] { fromY = backend.run(y, 640); });
+        tx.join();
+        ty.join();
+        // Whichever call drew its job stream first, each caller got
+        // exactly what a serial replay in that order gives.
+        const bool xFirst = fromX.raw() == xThenY.first.raw();
+        if (xFirst) {
+            EXPECT_EQ(fromY.raw(), xThenY.second.raw()) << round;
+        } else {
+            EXPECT_EQ(fromX.raw(), yThenX.second.raw()) << round;
+            EXPECT_EQ(fromY.raw(), yThenX.first.raw()) << round;
+        }
+    }
+}
+
+TEST(RuntimeDeterminism, CallerWithBusyWorkerSlotLeavesBatchesToPool)
+{
+    // Caller A holds the caller's worker clone, blocked inside its
+    // one batch (a one-batch run gets no pool helper, so A's caller
+    // is sure to run it). Caller B must finish on the pool alone,
+    // with the counts of a serial replay, and A must then complete.
+    auto log = std::make_shared<ThreadLog>();
+    const ThreadRecordingBackend proto(log);
+    ParallelBackend backend(
+        proto, 31, RuntimeOptions{.numThreads = 2, .batchSize = 64});
+    const Circuit x = bernsteinVazirani(4, fromBitString("1011"));
+    const Circuit y = bernsteinVazirani(4, fromBitString("0110"));
+
+    Counts fromX;
+    std::thread a([&] {
+        {
+            std::lock_guard<std::mutex> lock(log->mutex);
+            log->gated = std::this_thread::get_id();
+        }
+        fromX = backend.run(x, 64);
+    });
+    log->entered.get_future().wait();
+    const Counts fromY = backend.run(y, 640);
+    {
+        std::lock_guard<std::mutex> lock(log->mutex);
+        EXPECT_EQ(std::count(log->threads.begin(), log->threads.end(),
+                             std::this_thread::get_id()),
+                  0)
+            << "B ran a batch on the caller's busy worker clone";
+    }
+    log->releaseGate.set_value();
+    a.join();
+
+    const auto xThenY = serialReplay(x, 64, y, 640);
+    EXPECT_EQ(fromX.raw(), xThenY.first.raw());
+    EXPECT_EQ(fromY.raw(), xThenY.second.raw());
 }
 
 } // namespace

@@ -5,6 +5,8 @@
  */
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -420,6 +422,193 @@ TEST(StateVector, DampingNearCertainJumpNeverProducesInf)
         s.applyAmplitudeDamping(0, nearOne, rng);
         ASSERT_TRUE(std::isfinite(s.norm()));
         ASSERT_NEAR(s.norm(), 1.0, 1e-9);
+    }
+}
+
+/**
+ * Reference for applyDecay(): the two damping channels applied in
+ * sequence, amplitude damping then phase damping, each reading the
+ * |1> population with its own serial sum and writing its own pass.
+ */
+DampingResult
+referenceDamping(std::vector<Amplitude>& amps, Qubit q, double rate,
+                 bool amplitude, Rng& rng)
+{
+    if (rate <= 0.0)
+        return {};
+    const std::size_t stride = std::size_t{1} << q;
+    const std::size_t n = amps.size();
+    double p1 = 0.0;
+    for (std::size_t base = stride; base < n; base += 2 * stride) {
+        for (std::size_t i = base; i < base + stride; ++i)
+            p1 += std::norm(amps[i]);
+    }
+    if (p1 <= 0.0)
+        return {};
+    const double p_jump = rate * p1;
+    if (rng.bernoulli(p_jump) || 1.0 - p_jump <= 0.0) {
+        const double scale = 1.0 / std::sqrt(p1);
+        for (std::size_t base = 0; base < n; base += 2 * stride) {
+            for (std::size_t i = base; i < base + stride; ++i) {
+                amps[i] = amplitude ? amps[i + stride] * scale
+                                    : Amplitude{0.0, 0.0};
+                amps[i + stride] =
+                    amplitude ? Amplitude{0.0, 0.0}
+                              : amps[i + stride] * scale;
+            }
+        }
+        return {true, true};
+    }
+    const double inv = 1.0 / std::sqrt(1.0 - p_jump);
+    const double keep = std::sqrt(1.0 - rate) * inv;
+    for (std::size_t base = 0; base < n; base += 2 * stride) {
+        for (std::size_t i = base; i < base + stride; ++i) {
+            amps[i] *= inv;
+            amps[i + stride] *= keep;
+        }
+    }
+    return {true, false};
+}
+
+DampingResult
+referenceDecay(std::vector<Amplitude>& amps, Qubit q, double gamma,
+               double lambda, Rng& rng)
+{
+    const DampingResult amp =
+        referenceDamping(amps, q, gamma, true, rng);
+    const DampingResult phase =
+        referenceDamping(amps, q, lambda, false, rng);
+    return {amp.applied || phase.applied, amp.jumped || phase.jumped};
+}
+
+/** Seeded random normalized state; qubit @p zeroQubit (if any) is
+ *  left exactly in |0>. */
+StateVector
+randomState(unsigned n, Rng& rng, int zeroQubit = -1)
+{
+    StateVector s(n);
+    for (std::size_t i = 0; i < s.dim(); ++i) {
+        const bool zeroed =
+            zeroQubit >= 0 && ((i >> zeroQubit) & 1) != 0;
+        s.setAmplitude(i, zeroed ? Amplitude{0.0, 0.0}
+                                 : Amplitude{rng.uniform(-1.0, 1.0),
+                                             rng.uniform(-1.0, 1.0)});
+    }
+    s.normalize();
+    return s;
+}
+
+struct DecayCase
+{
+    const char* name;
+    double gamma;
+    double lambda;
+    bool zeroPopulation;
+};
+
+TEST(StateVectorDecay, MatchesSequentialChannelsDrawForDraw)
+{
+    const DecayCase cases[] = {
+        {"gamma only", 0.35, 0.0, false},
+        {"lambda only", 0.0, 0.45, false},
+        {"both", 0.3, 0.5, false},
+        {"gamma = 1", 1.0, 0.4, false},
+        {"p1 = 0", 0.6, 0.7, true},
+    };
+    Rng stateRng(2019);
+    std::size_t jumps = 0;
+    std::size_t stays = 0;
+    for (const DecayCase& c : cases) {
+        for (unsigned n = 1; n <= 9; ++n) {
+            for (Qubit q = 0; q < n; ++q) {
+                for (int trial = 0; trial < 8; ++trial) {
+                    const StateVector start = randomState(
+                        n, stateRng,
+                        c.zeroPopulation ? static_cast<int>(q) : -1);
+                    std::vector<Amplitude> expected(start.dim());
+                    for (std::size_t i = 0; i < start.dim(); ++i)
+                        expected[i] = start.amplitude(i);
+                    const std::uint64_t seed =
+                        1000003ULL * n + 1009ULL * q + trial;
+                    Rng refRng(seed);
+                    Rng rng(seed);
+                    const DampingResult want = referenceDecay(
+                        expected, q, c.gamma, c.lambda, refRng);
+                    StateVector actual = start;
+                    const DampingResult got =
+                        actual.applyDecay(q, c.gamma, c.lambda, rng);
+
+                    SCOPED_TRACE(::testing::Message()
+                                 << c.name << " n=" << n << " q=" << q
+                                 << " trial=" << trial);
+                    // Same draws consumed: the streams stay aligned.
+                    ASSERT_EQ(rng.uniform(), refRng.uniform());
+                    ASSERT_EQ(got.applied, want.applied);
+                    ASSERT_EQ(got.jumped, want.jumped);
+                    for (std::size_t i = 0; i < actual.dim(); ++i) {
+                        ASSERT_NEAR(actual.amplitude(i).real(),
+                                    expected[i].real(), 1e-12);
+                        ASSERT_NEAR(actual.amplitude(i).imag(),
+                                    expected[i].imag(), 1e-12);
+                    }
+                    if (c.zeroPopulation)
+                        EXPECT_FALSE(got.applied);
+                    else
+                        (got.jumped ? jumps : stays) += 1;
+                }
+            }
+        }
+    }
+    // Both branches of the step were exercised.
+    EXPECT_GT(jumps, 0u);
+    EXPECT_GT(stays, 0u);
+}
+
+TEST(StateVectorDecay, SingleRateWrappersAreDecaySteps)
+{
+    Rng stateRng(77);
+    for (unsigned n = 1; n <= 5; ++n) {
+        const StateVector start = randomState(n, stateRng);
+        StateVector a = start;
+        StateVector b = start;
+        Rng ra(5);
+        Rng rb(5);
+        const DampingResult wa = a.applyAmplitudeDamping(n - 1, 0.4, ra);
+        const DampingResult wb = b.applyDecay(n - 1, 0.4, 0.0, rb);
+        EXPECT_EQ(wa.applied, wb.applied);
+        EXPECT_EQ(wa.jumped, wb.jumped);
+        EXPECT_EQ(ra.uniform(), rb.uniform());
+        for (std::size_t i = 0; i < a.dim(); ++i)
+            EXPECT_EQ(a.amplitude(i), b.amplitude(i));
+
+        StateVector c = start;
+        StateVector d = start;
+        Rng rc(6);
+        Rng rd(6);
+        const DampingResult wc = c.applyPhaseDamping(0, 0.4, rc);
+        const DampingResult wd = d.applyDecay(0, 0.0, 0.4, rd);
+        EXPECT_EQ(wc.applied, wd.applied);
+        EXPECT_EQ(wc.jumped, wd.jumped);
+        EXPECT_EQ(rc.uniform(), rd.uniform());
+        for (std::size_t i = 0; i < c.dim(); ++i)
+            EXPECT_EQ(c.amplitude(i), d.amplitude(i));
+    }
+}
+
+TEST(StateVectorDecay, ProbabilityOneMatchesSerialSum)
+{
+    Rng stateRng(11);
+    for (unsigned n = 1; n <= 9; ++n) {
+        const StateVector s = randomState(n, stateRng);
+        for (Qubit q = 0; q < n; ++q) {
+            double serial = 0.0;
+            for (std::size_t i = 0; i < s.dim(); ++i) {
+                if ((i >> q) & 1)
+                    serial += std::norm(s.amplitude(i));
+            }
+            EXPECT_NEAR(s.probabilityOne(q), serial, 1e-14)
+                << "n=" << n << " q=" << q;
+        }
     }
 }
 
