@@ -191,12 +191,11 @@ MachineSession::runEnsemble(const Circuit& logical,
                             std::size_t shots, unsigned ensembles,
                             double diversity_sigma)
 {
-    if (ensembles == 0)
-        throw std::invalid_argument("runEnsemble: need at least "
-                                    "one ensemble");
-    if (shots < ensembles)
-        throw std::invalid_argument("runEnsemble: fewer shots than "
-                                    "ensembles");
+    // Each mapping takes an evenPlan share of the budget (which
+    // refuses zero ensembles or fewer shots than ensembles); the
+    // inversion strings are unused, the inner policy picks its own.
+    const ModePlan shares =
+        evenPlan(std::vector<InversionString>(ensembles), shots);
     telemetry::SpanTracer::Scope ensembleSpan =
         telemetry::span("ensemble:" + inner.name());
     telemetry::count("session.ensemble.mappings", ensembles);
@@ -207,14 +206,7 @@ MachineSession::runEnsemble(const Circuit& logical,
     const auto start = std::chrono::steady_clock::now();
 
     Counts merged(logical.numClbits());
-    const std::size_t per = shots / ensembles;
-    std::size_t leftover = shots % ensembles;
     for (unsigned e = 0; e < ensembles; ++e) {
-        std::size_t share = per;
-        if (leftover > 0) {
-            ++share;
-            --leftover;
-        }
         TranspiledProgram program;
         {
             telemetry::SpanTracer::Scope s =
@@ -227,7 +219,8 @@ MachineSession::runEnsemble(const Circuit& logical,
         }
         telemetry::SpanTracer::Scope s =
             telemetry::span("policy:" + inner.name());
-        merged.merge(inner.run(program.circuit, backend(), share));
+        merged.merge(
+            inner.run(program.circuit, backend(), shares[e].shots));
     }
 
     if (!parallel_)
@@ -286,7 +279,7 @@ MachineSession::comparePolicies(const NisqBenchmark& benchmark,
             // sample from the oracle's mixture, so this TVD should
             // shrink like O(1/sqrt(shots)) for a correct policy.
             if (oracle_ok) {
-                const ModePlan plan = policy.lastPlan();
+                const ModePlan& plan = policy.lastPlan();
                 std::vector<double> dist;
                 telemetry::SpanTracer::Scope s =
                     telemetry::span("oracle:" + policy.name());

@@ -1,11 +1,9 @@
 #include "mitigation/aim_policy.hh"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 #include "mitigation/sim_policy.hh"
-#include "runtime/batch_attempt.hh"
 #include "telemetry/telemetry.hh"
 
 namespace qem
@@ -28,8 +26,9 @@ AdaptiveInvertAndMeasure::AdaptiveInvertAndMeasure(
 }
 
 Counts
-AdaptiveInvertAndMeasure::run(const Circuit& circuit,
-                              Backend& backend, std::size_t shots)
+AdaptiveInvertAndMeasure::execute(const Circuit& circuit,
+                                  Backend& backend,
+                                  std::size_t shots)
 {
     const std::vector<Qubit> measured = circuit.measuredQubits();
     const unsigned bits = static_cast<unsigned>(measured.size());
@@ -96,67 +95,44 @@ AdaptiveInvertAndMeasure::run(const Circuit& circuit,
     // Phase 3 -- tailored inversion strings: XOR each candidate
     // onto the machine's strongest state. (The XOR map is a
     // bijection, so distinct candidates give distinct strings.)
-    const BasisState strongest = rbms_->strongestState();
-    std::vector<InversionString> strings;
-    strings.reserve(lastCandidates_.size());
-    for (BasisState candidate : lastCandidates_)
-        strings.push_back(candidate ^ strongest);
-
     // Budget per string: proportional to candidate likelihood, or
-    // uniform when weighting is disabled.
+    // uniform when weighting is disabled; the rounding remainder
+    // goes to the most likely candidate.
+    const BasisState strongest = rbms_->strongestState();
     const std::size_t remaining = shots - canary_shots;
-    std::vector<std::size_t> shares(strings.size(), 0);
-    if (options_.weightedAllocation) {
-        double total_l = 0.0;
-        for (double l : likelihoods)
-            total_l += l;
-        std::size_t assigned = 0;
-        for (std::size_t i = 0; i < strings.size(); ++i) {
-            shares[i] = static_cast<std::size_t>(
-                static_cast<double>(remaining) * likelihoods[i] /
-                total_l);
-            assigned += shares[i];
-        }
-        shares[0] += remaining - assigned; // Rounding remainder.
-    } else {
-        for (std::size_t i = 0; i < strings.size(); ++i)
-            shares[i] = remaining / strings.size();
-        shares[0] += remaining % strings.size();
+    double total_l = 0.0;
+    for (double l : likelihoods)
+        total_l += l;
+    ModePlan tailored;
+    tailored.reserve(lastCandidates_.size());
+    std::size_t assigned = 0;
+    for (std::size_t i = 0; i < lastCandidates_.size(); ++i) {
+        const std::size_t share =
+            options_.weightedAllocation
+                ? static_cast<std::size_t>(
+                      static_cast<double>(remaining) *
+                      likelihoods[i] / total_l)
+                : remaining / lastCandidates_.size();
+        tailored.push_back({lastCandidates_[i] ^ strongest, share});
+        assigned += share;
     }
+    tailored[0].shots += remaining - assigned;
+    std::erase_if(tailored,
+                  [](const ModeShare& m) { return m.shots == 0; });
 
     telemetry::SpanTracer::Scope bulkSpan =
         telemetry::span("aim.tailored");
-    ModePlan plan = canary_policy.lastPlan();
-    Counts merged = canary;
-    for (std::size_t i = 0; i < strings.size(); ++i) {
-        if (shares[i] == 0)
-            continue;
-        const Counts observed = backend.run(
-            applyInversion(circuit, strings[i]), shares[i]);
-        // A salvaged (partial) mode would skew the likelihood-
-        // weighted budget the correction assumes; refuse to merge
-        // under-budget modes rather than degrade silently.
-        if (observed.total() != shares[i]) {
-            throw BudgetExhausted(
-                "AIM: tailored mode returned " +
-                std::to_string(observed.total()) + " of " +
-                std::to_string(shares[i]) +
-                " trials; refusing to merge partial-mode data");
-        }
-        telemetry::count("policy.aim.inversion_strings_applied");
-        telemetry::count(
-            "policy.aim.correction_bitflips",
-            static_cast<std::uint64_t>(
-                std::popcount(strings[i])) *
-                observed.total());
-        merged.merge(correctInversion(observed, strings[i]));
-        plan.push_back({strings[i], shares[i]});
-    }
-    lastPlan_ = std::move(plan);
+    Counts merged = runModePlan(circuit, backend, tailored, "aim");
+    merged.merge(canary);
+    lastPlan_ = canary_policy.lastPlan();
+    lastPlan_.insert(lastPlan_.end(), tailored.begin(),
+                     tailored.end());
 
     // Counted on completion, from observed totals, so aborted runs
     // never overcount shots in manifests.
     telemetry::count("policy.aim.runs");
+    telemetry::count("policy.aim.inversion_strings_applied",
+                     tailored.size());
     telemetry::count("policy.aim.canary_shots", canary.total());
     telemetry::count("policy.aim.bulk_shots",
                      merged.total() - canary.total());

@@ -55,9 +55,6 @@ class AdaptiveInvertAndMeasure : public MitigationPolicy
         std::shared_ptr<const RbmsEstimate> rbms,
         AimOptions options = {});
 
-    Counts run(const Circuit& circuit, Backend& backend,
-               std::size_t shots) override;
-
     std::string name() const override { return "AIM"; }
 
     const RbmsEstimate& rbms() const { return *rbms_; }
@@ -71,21 +68,23 @@ class AdaptiveInvertAndMeasure : public MitigationPolicy
         return lastCandidates_;
     }
 
+  private:
     /**
-     * The realized mode split of the last run(): the four canary
-     * modes followed by the tailored modes with their
+     * The canary phase runs through a four-mode
+     * StaticInvertAndMeasure; the tailored modes through
+     * runModePlan. lastPlan() is the realized split: the four
+     * canary modes followed by the tailored modes with their
      * likelihood-weighted shares. Because the tailored strings and
      * weights depend on the sampled canary log, this plan is a
      * per-run observation — the verification oracle conditions on
      * it rather than re-deriving it.
      */
-    ModePlan lastPlan() const override { return lastPlan_; }
+    Counts execute(const Circuit& circuit, Backend& backend,
+                   std::size_t shots) override;
 
-  private:
     std::shared_ptr<const RbmsEstimate> rbms_;
     AimOptions options_;
     std::vector<BasisState> lastCandidates_;
-    ModePlan lastPlan_;
 };
 
 } // namespace qem

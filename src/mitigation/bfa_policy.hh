@@ -23,7 +23,6 @@
 #define QEM_MITIGATION_BFA_POLICY_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "mitigation/policy.hh"
@@ -60,33 +59,18 @@ struct BfaOptions
 class BitFlipAveragePolicy : public MitigationPolicy
 {
   public:
-    /**
-     * @param twirl_strings Optional precomputed twirl set (e.g. the
-     *        cached TwirlStrings service artifact). Must match what
-     *        twirlStrings(bits, options) would draw — validated on
-     *        run(). Null computes the set on the fly.
-     */
-    explicit BitFlipAveragePolicy(
-        BfaOptions options = {},
-        std::shared_ptr<const std::vector<InversionString>>
-            twirl_strings = nullptr);
-
-    Counts run(const Circuit& circuit, Backend& backend,
-               std::size_t shots) override;
+    explicit BitFlipAveragePolicy(BfaOptions options = {});
 
     std::string name() const override { return "BFA"; }
 
     /**
-     * The twirl modes as a ModePlan — but only while no symmetrized
-     * rates are configured. With rates set, the merged log is the
+     * The twirl modes the last run() executed, always available.
+     * lastPlan() holds the same modes only while no symmetrized
+     * rates are configured: with rates set, the merged log is the
      * tensored inverse of the twirl mixture, NOT a per-mode
-     * relabeling, so this returns {} per the MitigationPolicy
-     * contract and the twirl layout is exposed via lastTwirlPlan()
-     * instead.
+     * relabeling, so lastPlan() is {} per the MitigationPolicy
+     * contract.
      */
-    ModePlan lastPlan() const override;
-
-    /** The twirl modes the last run() executed, always available. */
     const ModePlan& lastTwirlPlan() const { return lastTwirlPlan_; }
 
     /**
@@ -108,27 +92,20 @@ class BitFlipAveragePolicy : public MitigationPolicy
     /**
      * The twirl-string set for a @p bits -wide output register:
      * string g = low bits of Rng(options.twirlSeed).splitAt(g).
-     * numGroups == 0 yields the single identity string. Shared with
-     * the TwirlStrings service artifact and the oracle so the three
-     * can never drift apart.
+     * numGroups == 0 yields the single identity string.
      */
     static std::vector<InversionString>
     twirlStrings(unsigned bits, const BfaOptions& options);
 
-    /**
-     * The (string, share) plan for a budget of @p shots: SIM's
-     * share-split arithmetic (floor division, leftover distributed
-     * one extra trial to the earliest groups) over the twirl set.
-     */
-    static ModePlan twirlPlan(unsigned bits, std::size_t shots,
-                              const BfaOptions& options);
-
   private:
+    /** evenPlan over the twirl strings, run by runModePlan, then
+     *  the optional rate unfolding. */
+    Counts execute(const Circuit& circuit, Backend& backend,
+                   std::size_t shots) override;
+
     BfaOptions options_;
-    std::shared_ptr<const std::vector<InversionString>> strings_;
     ModePlan lastTwirlPlan_;
     Counts lastTwirledCounts_;
-    bool unfolded_ = false;
 };
 
 } // namespace qem

@@ -54,8 +54,9 @@ invertTensoredConfusion(std::vector<double> probs,
 }
 
 Counts
-MatrixInversionCorrection::run(const Circuit& circuit,
-                               Backend& backend, std::size_t shots)
+MatrixInversionCorrection::execute(const Circuit& circuit,
+                                   Backend& backend,
+                                   std::size_t shots)
 {
     const std::vector<Qubit> measured = circuit.measuredQubits();
     const unsigned bits = circuit.numClbits();

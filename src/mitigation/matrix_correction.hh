@@ -31,18 +31,18 @@ class MatrixInversionCorrection : public MitigationPolicy
     explicit MatrixInversionCorrection(
         std::size_t calibration_shots = 8192);
 
+    std::string name() const override { return "MatrixInv"; }
+
+  private:
     /**
      * Calibrate per-qubit confusion on the circuit's measured
      * qubits, run the full budget in the standard mode, and return
      * the inverse-confusion-corrected log (clipped to nonnegative
      * and renormalized, rounded back to integer counts).
      */
-    Counts run(const Circuit& circuit, Backend& backend,
-               std::size_t shots) override;
+    Counts execute(const Circuit& circuit, Backend& backend,
+                   std::size_t shots) override;
 
-    std::string name() const override { return "MatrixInv"; }
-
-  private:
     std::size_t calibrationShots_;
 };
 

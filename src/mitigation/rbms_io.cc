@@ -1,5 +1,6 @@
 #include "mitigation/rbms_io.hh"
 
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,17 +16,43 @@ parseFail(const std::string& what)
     throw std::invalid_argument("parseRbms: " + what);
 }
 
+/** Largest table the format admits: 2^24 strengths, the dense
+ *  exhaustive bound. */
+constexpr std::size_t kMaxTableSize = std::size_t{1} << 24;
+
+/**
+ * Read a declared @p count -entry strength table. The size is
+ * checked before any value is read and the table grows only as
+ * values arrive, so a short file cannot make the parser allocate
+ * what its header claims.
+ */
 std::vector<double>
 readValues(std::istream& in, std::size_t count)
 {
-    std::vector<double> values(count);
+    if (count > kMaxTableSize || !std::has_single_bit(count))
+        parseFail("table size must be a power of two up to 2^24");
+    std::vector<double> values;
+    bool positive = false;
     for (std::size_t i = 0; i < count; ++i) {
-        if (!(in >> values[i]))
+        double v = 0.0;
+        if (!(in >> v))
             parseFail("truncated strength table");
-        if (values[i] < 0.0)
+        if (v < 0.0)
             parseFail("negative strength");
+        positive = positive || v > 0.0;
+        values.push_back(v);
     }
+    if (!positive)
+        parseFail("strength table has no positive entry");
     return values;
+}
+
+/** Reject anything but whitespace after the last table. */
+void
+expectEnd(std::istream& in)
+{
+    if (!(in >> std::ws).eof())
+        parseFail("trailing data after the last table");
 }
 
 } // namespace
@@ -68,8 +95,10 @@ parseRbms(const std::string& text)
         unsigned bits = 0;
         if (!(in >> bits) || bits == 0 || bits > 24)
             parseFail("bad bit count");
-        return std::make_shared<ExhaustiveRbms>(
-            readValues(in, std::size_t{1} << bits));
+        std::vector<double> table =
+            readValues(in, std::size_t{1} << bits);
+        expectEnd(in);
+        return std::make_shared<ExhaustiveRbms>(std::move(table));
     }
     if (kind == "windowed") {
         unsigned bits = 0;
@@ -92,6 +121,7 @@ parseRbms(const std::string& text)
             window.table = readValues(in, table_size);
             windows.push_back(std::move(window));
         }
+        expectEnd(in);
         return std::make_shared<WindowedRbms>(bits,
                                               std::move(windows));
     }

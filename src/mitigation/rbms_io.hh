@@ -33,7 +33,10 @@ std::string serializeRbms(const RbmsEstimate& rbms);
 
 /**
  * Parse a profile produced by serializeRbms. Throws
- * std::invalid_argument with a diagnostic on malformed input.
+ * std::invalid_argument with a diagnostic on malformed input: a
+ * table size that is not a power of two up to 2^24, a truncated or
+ * negative strength, a table with no positive strength, or
+ * anything but whitespace after the last table.
  */
 std::shared_ptr<const RbmsEstimate> parseRbms(
     const std::string& text);

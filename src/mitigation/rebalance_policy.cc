@@ -1,12 +1,10 @@
 #include "mitigation/rebalance_policy.hh"
 
-#include <bit>
 #include <stdexcept>
 #include <vector>
 
 #include "qsim/bitstring.hh"
 #include "qsim/statevector.hh"
-#include "runtime/batch_attempt.hh"
 #include "telemetry/telemetry.hh"
 
 namespace qem
@@ -62,8 +60,8 @@ RebalancePolicy::prefixFor(BasisState predicted,
 }
 
 Counts
-RebalancePolicy::run(const Circuit& circuit, Backend& backend,
-                     std::size_t shots)
+RebalancePolicy::execute(const Circuit& circuit, Backend& backend,
+                         std::size_t shots)
 {
     const std::vector<Qubit> measured = circuit.measuredQubits();
     const unsigned bits = static_cast<unsigned>(measured.size());
@@ -94,30 +92,13 @@ RebalancePolicy::run(const Circuit& circuit, Backend& backend,
     const InversionString prefix =
         prefixFor(lastPredicted_, *rbms_);
 
-    // The whole budget runs in the single tailored mode.
-    Counts observed(circuit.numClbits());
-    {
-        telemetry::SpanTracer::Scope s =
-            telemetry::span("rebalance.shot_batches");
-        observed = backend.run(applyInversion(circuit, prefix),
-                               shots);
-    }
-    // A salvaged (partial) mode cannot bias a one-mode histogram,
-    // but under-budget logs still break the shot accounting every
-    // verification check assumes; refuse like SIM/AIM do.
-    if (observed.total() != shots) {
-        throw BudgetExhausted(
-            "Rebalance: mode returned " +
-            std::to_string(observed.total()) + " of " +
-            std::to_string(shots) +
-            " trials; refusing partial-mode data");
-    }
-    telemetry::count(
-        "policy.rebalance.correction_bitflips",
-        static_cast<std::uint64_t>(std::popcount(prefix)) *
-            observed.total());
-    Counts merged = correctInversion(observed, prefix);
-    lastPlan_ = {{prefix, shots}};
+    // The whole budget runs in the single tailored mode. A
+    // salvaged (partial) mode cannot bias a one-mode histogram, but
+    // under-budget logs still break the shot accounting every
+    // verification check assumes, so runModePlan refuses it too.
+    ModePlan plan{{prefix, shots}};
+    Counts merged = runModePlan(circuit, backend, plan, "rebalance");
+    lastPlan_ = std::move(plan);
 
     telemetry::count("policy.rebalance.runs");
     telemetry::count("policy.rebalance.shots", merged.total());

@@ -53,9 +53,6 @@ class RebalancePolicy : public MitigationPolicy
         std::shared_ptr<const RbmsEstimate> rbms,
         RebalanceOptions options = {});
 
-    Counts run(const Circuit& circuit, Backend& backend,
-               std::size_t shots) override;
-
     std::string name() const override { return "Rebalance"; }
 
     /**
@@ -67,6 +64,12 @@ class RebalancePolicy : public MitigationPolicy
     static InversionString prefixFor(BasisState predicted,
                                      const RbmsEstimate& rbms);
 
+    /** The outcome the last run() predicted (diagnostics/tests). */
+    BasisState lastPredicted() const { return lastPredicted_; }
+
+    const RbmsEstimate& rbms() const { return *rbms_; }
+
+  private:
     /**
      * One mode carrying the whole budget. Per the MitigationPolicy
      * contract the recorded inversion string is the *physical*
@@ -75,18 +78,12 @@ class RebalancePolicy : public MitigationPolicy
      * plan must prepare the basis states the hardware actually
      * read.
      */
-    ModePlan lastPlan() const override { return lastPlan_; }
+    Counts execute(const Circuit& circuit, Backend& backend,
+                   std::size_t shots) override;
 
-    /** The outcome the last run() predicted (diagnostics/tests). */
-    BasisState lastPredicted() const { return lastPredicted_; }
-
-    const RbmsEstimate& rbms() const { return *rbms_; }
-
-  private:
     std::shared_ptr<const RbmsEstimate> rbms_;
     RebalanceOptions options_;
     BasisState lastPredicted_ = 0;
-    ModePlan lastPlan_;
 };
 
 } // namespace qem

@@ -1,10 +1,8 @@
 #include "mitigation/sim_policy.hh"
 
-#include <bit>
 #include <sstream>
 #include <stdexcept>
 
-#include "runtime/batch_attempt.hh"
 #include "telemetry/telemetry.hh"
 
 namespace qem
@@ -43,63 +41,19 @@ StaticInvertAndMeasure::stringsFor(unsigned bits) const
 }
 
 Counts
-StaticInvertAndMeasure::run(const Circuit& circuit, Backend& backend,
-                            std::size_t shots)
+StaticInvertAndMeasure::execute(const Circuit& circuit,
+                                Backend& backend, std::size_t shots)
 {
     const std::vector<Qubit> measured = circuit.measuredQubits();
     if (measured.empty())
         throw std::invalid_argument("SIM: circuit has no "
                                     "measurements");
-    const std::vector<InversionString> strings =
-        stringsFor(static_cast<unsigned>(measured.size()));
-    if (shots < strings.size())
-        throw std::invalid_argument("SIM: fewer shots than "
-                                    "measurement modes");
+    ModePlan plan = evenPlan(
+        stringsFor(static_cast<unsigned>(measured.size())), shots);
 
     telemetry::SpanTracer::Scope policySpan =
         telemetry::span("sim.run");
-
-    Counts merged(circuit.numClbits());
-    ModePlan plan;
-    plan.reserve(strings.size());
-    const std::size_t per_mode = shots / strings.size();
-    std::size_t leftover = shots % strings.size();
-    for (InversionString inv : strings) {
-        std::size_t share = per_mode;
-        if (leftover > 0) {
-            ++share;
-            --leftover;
-        }
-        Counts observed(circuit.numClbits());
-        {
-            telemetry::SpanTracer::Scope s =
-                telemetry::span("sim.shot_batches");
-            observed =
-                backend.run(applyInversion(circuit, inv), share);
-        }
-        // Each mode carries 1/k of the budget; merging a salvaged
-        // (partial) mode would bias the histogram toward the modes
-        // that completed. Refuse instead of degrading silently.
-        if (observed.total() != share) {
-            throw BudgetExhausted(
-                "SIM: mode returned " +
-                std::to_string(observed.total()) + " of " +
-                std::to_string(share) +
-                " trials; refusing to merge partial-mode data");
-        }
-        {
-            telemetry::SpanTracer::Scope s =
-                telemetry::span("sim.post_correct");
-            // Every set mask bit is one classical bit-flip per
-            // observed trial during post-correction.
-            telemetry::count(
-                "policy.sim.correction_bitflips",
-                static_cast<std::uint64_t>(std::popcount(inv)) *
-                    observed.total());
-            merged.merge(correctInversion(observed, inv));
-        }
-        plan.push_back({inv, share});
-    }
+    Counts merged = runModePlan(circuit, backend, plan, "sim");
     lastPlan_ = std::move(plan);
 
     // Counted on completion, from the merged log, so aborted runs
@@ -107,7 +61,7 @@ StaticInvertAndMeasure::run(const Circuit& circuit, Backend& backend,
     telemetry::count("policy.sim.runs");
     telemetry::count("policy.sim.shots", merged.total());
     telemetry::count("policy.sim.inversion_strings_applied",
-                     strings.size());
+                     lastPlan_.size());
     return merged;
 }
 

@@ -38,20 +38,17 @@ class StaticInvertAndMeasure : public MitigationPolicy
     static StaticInvertAndMeasure multiMode(unsigned bits,
                                             unsigned k);
 
-    Counts run(const Circuit& circuit, Backend& backend,
-               std::size_t shots) override;
-
     std::string name() const override;
 
-    /** The per-mode budget split of the last completed run(). */
-    ModePlan lastPlan() const override { return lastPlan_; }
-
   private:
+    /** evenPlan over the strings, executed by runModePlan. */
+    Counts execute(const Circuit& circuit, Backend& backend,
+                   std::size_t shots) override;
+
     /** Strings to use for a circuit with @p bits output bits. */
     std::vector<InversionString> stringsFor(unsigned bits) const;
 
     std::vector<InversionString> strings_;
-    ModePlan lastPlan_;
 };
 
 } // namespace qem

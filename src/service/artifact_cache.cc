@@ -18,8 +18,6 @@ artifactKindName(ArtifactKind kind)
         return "rbms";
     case ArtifactKind::ConfusionCdf:
         return "confusion_cdf";
-    case ArtifactKind::TwirlStrings:
-        return "twirl_strings";
     }
     return "unknown";
 }

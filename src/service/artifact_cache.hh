@@ -54,12 +54,9 @@ enum class ArtifactKind : std::uint8_t
     RbmsProfile,
     /** Per-truth-state readout-confusion CDF rows. */
     ConfusionCdf,
-    /** A BFA twirl-string set drawn from (policy, seed, groups). */
-    TwirlStrings,
 };
 
-/** Display name ("compiled", "rbms", "confusion_cdf",
- *  "twirl_strings"). */
+/** Display name ("compiled", "rbms", "confusion_cdf"). */
 const char* artifactKindName(ArtifactKind kind);
 
 /**

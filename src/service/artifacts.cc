@@ -240,46 +240,6 @@ cachedRbmsProfile(ArtifactCache& cache, Backend& backend,
         hit);
 }
 
-ArtifactKey
-twirlStringsKey(const std::string& machine,
-                const std::vector<Qubit>& qubits,
-                const std::string& policy,
-                std::uint64_t twirl_seed, unsigned num_groups)
-{
-    ArtifactKey key;
-    key.kind = ArtifactKind::TwirlStrings;
-    key.subject = fingerprintQubits(qubits);
-    key.machine = machine;
-    std::uint64_t h = kFnvBasis;
-    h = fnvString(h, policy);
-    h = fnvWord(h, twirl_seed);
-    h = fnvWord(h, num_groups);
-    key.options = h;
-    return key;
-}
-
-std::shared_ptr<const std::vector<BasisState>>
-cachedTwirlStrings(ArtifactCache& cache, const std::string& machine,
-                   const std::vector<Qubit>& qubits,
-                   const BfaOptions& options, bool* hit)
-{
-    const ArtifactKey key =
-        twirlStringsKey(machine, qubits, "BFA", options.twirlSeed,
-                        options.numGroups);
-    return cache.getOrCompute<std::vector<BasisState>>(
-        key,
-        [&]() -> ArtifactCache::Costed<std::vector<BasisState>> {
-            auto strings =
-                std::make_shared<const std::vector<BasisState>>(
-                    BitFlipAveragePolicy::twirlStrings(
-                        static_cast<unsigned>(qubits.size()),
-                        options));
-            return {strings,
-                    strings->size() * sizeof(BasisState) + 64};
-        },
-        hit);
-}
-
 std::shared_ptr<const ConfusionCdf>
 cachedConfusionCdf(ArtifactCache& cache, const Calibration& cal,
                    const std::string& machine,

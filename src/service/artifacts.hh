@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "machine/calibration.hh"
-#include "mitigation/bfa_policy.hh"
 #include "mitigation/rbms.hh"
 #include "qsim/circuit.hh"
 #include "qsim/counts.hh"
@@ -140,29 +139,6 @@ std::shared_ptr<const RbmsEstimate> cachedRbmsProfile(
 std::shared_ptr<const ConfusionCdf> cachedConfusionCdf(
     ArtifactCache& cache, const Calibration& cal,
     const std::string& machine, const std::vector<Qubit>& qubits,
-    bool* hit = nullptr);
-
-/**
- * Cache key of a twirl-string set for (machine, register, policy,
- * twirl knobs). The policy name and twirl seed are both folded into
- * the options fingerprint: two policies — or two seeds — drawing
- * over the same register must never share an entry, or a reseeded
- * run would silently execute the previous seed's strings.
- */
-ArtifactKey twirlStringsKey(const std::string& machine,
-                            const std::vector<Qubit>& qubits,
-                            const std::string& policy,
-                            std::uint64_t twirl_seed,
-                            unsigned num_groups);
-
-/**
- * The BFA twirl-string set for @p qubits on @p machine, drawn via
- * BitFlipAveragePolicy::twirlStrings on a miss. The returned set
- * feeds BitFlipAveragePolicy's precomputed-strings constructor.
- */
-std::shared_ptr<const std::vector<BasisState>> cachedTwirlStrings(
-    ArtifactCache& cache, const std::string& machine,
-    const std::vector<Qubit>& qubits, const BfaOptions& options,
     bool* hit = nullptr);
 
 } // namespace qem::svc

@@ -12,6 +12,8 @@
 #include "qsim/bitstring.hh"
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace qem
 {
@@ -78,10 +80,38 @@ TEST(Experiment, ConfigEnvOverrides)
     setenv("INVERTQ_SEED", "99", 1);
     EXPECT_EQ(configuredShots(123), 4096u);
     EXPECT_EQ(configuredSeed(7), 99u);
-    setenv("INVERTQ_SHOTS", "garbage", 1);
+    // Anything but a whole in-range decimal number is refused, and
+    // zero shots too; an empty variable keeps the default.
+    for (const char* bad : {"garbage", "12abc", "-5", "0", "+7", " 7",
+                            "18446744073709551616"}) {
+        setenv("INVERTQ_SHOTS", bad, 1);
+        EXPECT_THROW(configuredShots(123), std::invalid_argument)
+            << bad;
+    }
+    setenv("INVERTQ_SHOTS", "", 1);
     EXPECT_EQ(configuredShots(123), 123u);
+    setenv("INVERTQ_SEED", "-5", 1);
+    EXPECT_THROW(configuredSeed(7), std::invalid_argument);
+    setenv("INVERTQ_SEED", "0", 1);
+    EXPECT_EQ(configuredSeed(7), 0u);
     unsetenv("INVERTQ_SHOTS");
     unsetenv("INVERTQ_SEED");
+
+    // INVERTQ_THREADS=0 keeps meaning the serial backend; a count
+    // past unsigned range is refused rather than truncated.
+    setenv("INVERTQ_THREADS", "0", 1);
+    EXPECT_EQ(configuredThreads(3), 0u);
+    setenv("INVERTQ_THREADS", "4294967296", 1);
+    EXPECT_THROW(configuredThreads(3), std::invalid_argument);
+    setenv("INVERTQ_THREADS", "2x", 1);
+    try {
+        configuredThreads(3);
+        ADD_FAILURE() << "INVERTQ_THREADS=2x was accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("INVERTQ_THREADS"),
+                  std::string::npos);
+    }
+    unsetenv("INVERTQ_THREADS");
 }
 
 TEST(Experiment, AsciiTableRendersAlignedColumns)

@@ -22,7 +22,9 @@
 #include "kernels/bv.hh"
 #include "machine/machines.hh"
 #include "mitigation/aim_policy.hh"
+#include "mitigation/bfa_policy.hh"
 #include "mitigation/matrix_correction.hh"
+#include "mitigation/rebalance_policy.hh"
 #include "mitigation/sim_policy.hh"
 #include "noise/trajectory.hh"
 #include "qsim/bitstring.hh"
@@ -324,7 +326,9 @@ TEST_F(FaultInjection, SalvageModeDropsBatchesAndReportsTheLoss)
 TEST_F(FaultInjection, PoliciesRefuseToMergeSalvagedPartialModes)
 {
     // Under-budget modes must never be folded into a merged policy
-    // histogram as if complete (mitigation-aware failure handling).
+    // histogram as if complete (mitigation-aware failure handling),
+    // and the refused run must not leave the previous run's plan on
+    // display.
     FaultOptions faults;
     faults.failureRate = 0.7;
     faults.seed = 3;
@@ -333,16 +337,26 @@ TEST_F(FaultInjection, PoliciesRefuseToMergeSalvagedPartialModes)
     ParallelBackend salvaging(
         flaky, 11,
         fastRuntime(2, 16, 0, SalvageMode::DropBatches));
+    IdealSimulator clean(3, 42);
     Circuit c(3);
     c.measureAll();
 
-    StaticInvertAndMeasure sim;
-    EXPECT_THROW(sim.run(c, salvaging, 512), BudgetExhausted);
-
     auto rbms = std::make_shared<ExhaustiveRbms>(
         std::vector<double>(8, 1.0));
+    StaticInvertAndMeasure sim;
     AdaptiveInvertAndMeasure aim(rbms);
-    EXPECT_THROW(aim.run(c, salvaging, 512), BudgetExhausted);
+    BitFlipAveragePolicy bfa;
+    RebalancePolicy rebalance(rbms);
+    for (MitigationPolicy* policy :
+         std::vector<MitigationPolicy*>{&sim, &aim, &bfa,
+                                        &rebalance}) {
+        SCOPED_TRACE(policy->name());
+        EXPECT_EQ(policy->run(c, clean, 512).total(), 512u);
+        EXPECT_FALSE(policy->lastPlan().empty());
+        EXPECT_THROW(policy->run(c, salvaging, 512),
+                     BudgetExhausted);
+        EXPECT_TRUE(policy->lastPlan().empty());
+    }
 }
 
 TEST_F(FaultInjection, EnvSelectedFaultsExerciseTheRetryPath)

@@ -3,6 +3,8 @@
  * Unit tests for RBMS profile serialization.
  */
 
+#include <sys/resource.h>
+
 #include <gtest/gtest.h>
 
 #include "mitigation/rbms_io.hh"
@@ -113,6 +115,56 @@ TEST(RbmsIo, ParserDiagnosesNonNumericStrengths)
     EXPECT_THROW(parseRbms("rbms windowed 5 1\nwindow zero 8\n"
                            "1 1 1 1 1 1 1 1"),
                  std::invalid_argument);
+}
+
+TEST(RbmsIo, DeclaredTableSizeIsCheckedBeforeAllocating)
+{
+    // An 18-byte header for a 2^24-entry table must fail without
+    // allocating the 128 MiB table it declares: the peak resident
+    // set may not grow by anything near that. (Checked first, while
+    // this process's peak is still low.)
+    rusage before{};
+    ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+    EXPECT_THROW(parseRbms("rbms exhaustive 24"),
+                 std::invalid_argument);
+    rusage after{};
+    ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+    EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 32 * 1024); // KiB
+
+    // A window declaring 2^64 - 1 entries used to reach
+    // std::vector's length_error; sizes that are not a power of two
+    // up to 2^24 are refused from the header alone.
+    EXPECT_THROW(parseRbms("rbms windowed 5 1\n"
+                           "window 0 18446744073709551615\n"),
+                 std::invalid_argument);
+    EXPECT_THROW(parseRbms("rbms windowed 5 1\nwindow 0 33554432\n"),
+                 std::invalid_argument);
+    EXPECT_THROW(parseRbms("rbms windowed 2 1\nwindow 0 3\n1 1 1"),
+                 std::invalid_argument);
+}
+
+TEST(RbmsIo, TrailingDataAfterTheLastTableIsRejected)
+{
+    EXPECT_THROW(parseRbms("rbms exhaustive 1\n1 0.5\nextra"),
+                 std::invalid_argument);
+    EXPECT_THROW(parseRbms("rbms exhaustive 1\n1 0.5 0.25"),
+                 std::invalid_argument);
+    EXPECT_THROW(parseRbms("rbms windowed 1 1\nwindow 0 2\n"
+                           "1 0.5\nwindow 0 2\n1 0.5"),
+                 std::invalid_argument);
+    // Trailing whitespace is fine.
+    EXPECT_NO_THROW(parseRbms("rbms exhaustive 1\n1 0.5\n \n\t"));
+}
+
+TEST(RbmsIo, TableWithNoPositiveStrengthIsRejected)
+{
+    EXPECT_THROW(parseRbms("rbms exhaustive 2\n0 0 0 0"),
+                 std::invalid_argument);
+    EXPECT_THROW(parseRbms("rbms windowed 2 2\nwindow 0 2\n1 0.5\n"
+                           "window 1 2\n0 0"),
+                 std::invalid_argument);
+    // One positive entry is enough.
+    EXPECT_NO_THROW(parseRbms("rbms exhaustive 2\n0 0 0.5 0"));
 }
 
 } // namespace
