@@ -1,5 +1,6 @@
 #include "noise/noise_program.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -30,6 +31,28 @@ applyErrorPauli(StateVector& state, Qubit q, unsigned pauli)
       default:
         break;
     }
+}
+
+/**
+ * The error branch of a fired gate-error step: a uniformly random
+ * Pauli (1q), or one of the 15 non-identity Pauli pairs, uniformly
+ * (2q; charged once per gate, not per operand).
+ */
+void
+applyGateError(const NoiseStep& s, StateVector& state, Rng& rng)
+{
+    if (s.kind == NoiseStep::Kind::GATE_ERROR_1Q) {
+        applyErrorPauli(state, s.q0,
+                        static_cast<unsigned>(rng.index(3)) + 1);
+        return;
+    }
+    unsigned pauli_a = 0, pauli_b = 0;
+    do {
+        pauli_a = static_cast<unsigned>(rng.index(4));
+        pauli_b = static_cast<unsigned>(rng.index(4));
+    } while (pauli_a == 0 && pauli_b == 0);
+    applyErrorPauli(state, s.q0, pauli_a);
+    applyErrorPauli(state, s.q1, pauli_b);
 }
 
 } // namespace
@@ -243,67 +266,254 @@ NoiseProgram::lower(const Circuit& circuit, const NoiseModel& model,
         for (std::size_t i = 0; i < cop.phys.size(); ++i)
             emitDecay(op.qubits[i], cop.phys[i], noise.durationNs);
     }
+    p.buildPath();
     return p;
+}
+
+void
+NoiseProgram::applyUnitary(const NoiseStep& s, StateVector& state) const
+{
+    switch (s.kind) {
+      case NoiseStep::Kind::X:
+        state.applyX(s.q0);
+        break;
+      case NoiseStep::Kind::Z:
+        state.applyZ(s.q0);
+        break;
+      case NoiseStep::Kind::H:
+        state.applyH(s.q0);
+        break;
+      case NoiseStep::Kind::CX:
+        state.applyCX(s.q0, s.q1);
+        break;
+      case NoiseStep::Kind::CZ:
+        state.applyCZ(s.q0, s.q1);
+        break;
+      case NoiseStep::Kind::SWAP:
+        state.applySwap(s.q0, s.q1);
+        break;
+      case NoiseStep::Kind::MATRIX_1Q:
+        state.applyMatrix1q(pool1q_[s.matrix], s.q0);
+        break;
+      case NoiseStep::Kind::MATRIX_2Q:
+        state.applyMatrix2q(pool2q_[s.matrix], s.q0, s.q1);
+        break;
+      default:
+        break;
+    }
+}
+
+bool
+NoiseProgram::applyNoEvent(const NoiseStep& s, StateVector& state,
+                           std::vector<double>* asked) const
+{
+    switch (s.kind) {
+      case NoiseStep::Kind::GATE_ERROR_1Q:
+      case NoiseStep::Kind::GATE_ERROR_2Q:
+        if (asked != nullptr)
+            asked->push_back(s.a);
+        return false;
+      case NoiseStep::Kind::DECAY: {
+        DecayDecisions none =
+            DecayDecisions::scripted(DecayDecisions::kNoJump, asked);
+        return state.applyDecay(s.q0, s.a, s.b, none).applied;
+      }
+      default:
+        applyUnitary(s, state);
+        return false;
+    }
+}
+
+std::span<const Amplitude>
+NoiseProgram::pathState(std::size_t i) const
+{
+    const std::size_t dim = std::size_t{1} << compactQubits_;
+    return std::span<const Amplitude>(path_.states).subspan(i * dim,
+                                                            dim);
+}
+
+void
+NoiseProgram::buildPath()
+{
+    // Pass 1: walk the no-event path, recording each draw's exact
+    // threshold. A DECAY step's thresholds (gamma * p1, then
+    // lambda * p1') depend on the state, so they come from the same
+    // arithmetic core the live step runs, with every decision
+    // answered "no jump". A threshold >= 1 is an event every
+    // trajectory takes, so the path ends there (the state pass 1
+    // leaves behind is then unused).
+    StateVector state(compactQubits_);
+    std::vector<double> asked;
+    std::uint32_t decays = 0;
+    bool complete = true;
+    for (std::size_t i = 0; i < steps_.size() && complete; ++i) {
+        asked.clear();
+        if (applyNoEvent(steps_[i], state, &asked))
+            ++decays;
+        for (std::size_t slot = 0; slot < asked.size(); ++slot) {
+            // A threshold <= 0 draws nothing and never fires.
+            if (asked[slot] <= 0.0)
+                continue;
+            path_.thresholds.push_back(asked[slot]);
+            path_.drawnAt.push_back(
+                static_cast<std::uint32_t>(i * 2 + slot));
+            if (asked[slot] >= 1.0) {
+                complete = false;
+                break;
+            }
+        }
+    }
+
+    // How many states the path may keep: the final state first
+    // (every event-free trajectory copies it), then checkpoints.
+    const std::size_t dim = std::size_t{1} << compactQubits_;
+    std::size_t budget = std::min(
+        kMaxCheckpoints + 1, kMaxPathBytes / (dim * sizeof(Amplitude)));
+    const bool keepFinal = complete && budget > 0;
+    if (keepFinal)
+        --budget;
+
+    // Checkpoints sit at quantiles of the first-event step,
+    // conditioned on an event inside the path: a trajectory whose
+    // first event lies between two checkpoints re-applies only the
+    // steps since the earlier one.
+    std::vector<double> firstEvent;
+    firstEvent.reserve(path_.thresholds.size());
+    double survive = 1.0;
+    for (const double threshold : path_.thresholds) {
+        const double t = threshold < 1.0 ? threshold : 1.0;
+        firstEvent.push_back(survive * t);
+        survive *= 1.0 - t;
+    }
+    const double eventMass = 1.0 - survive;
+    double cumulative = 0.0;
+    std::size_t next = 0;
+    for (std::size_t k = 1; k <= budget && eventMass > 0.0; ++k) {
+        const double quantile = eventMass * static_cast<double>(k) /
+                                static_cast<double>(budget + 1);
+        while (next < firstEvent.size() &&
+               cumulative + firstEvent[next] < quantile)
+            cumulative += firstEvent[next++];
+        if (next == firstEvent.size())
+            break;
+        const std::uint32_t step = path_.drawnAt[next] / 2;
+        if (step > 0 && (path_.checkpointSteps.empty() ||
+                         path_.checkpointSteps.back() < step))
+            path_.checkpointSteps.push_back(step);
+    }
+
+    // Pass 2: re-walk the path up to its last checkpoint. The
+    // checkpoint states, then pass 1's final state, share one
+    // buffer.
+    const auto keep = [this](const StateVector& sv) {
+        const std::span<const Amplitude> amps = sv.amplitudes();
+        path_.states.insert(path_.states.end(), amps.begin(),
+                            amps.end());
+    };
+    path_.states.reserve(
+        (path_.checkpointSteps.size() + (keepFinal ? 1 : 0)) * dim);
+    StateVector walk(compactQubits_);
+    std::uint32_t walked = 0;
+    std::size_t i = 0;
+    for (std::uint32_t step : path_.checkpointSteps) {
+        for (; i < step; ++i)
+            walked += applyNoEvent(steps_[i], walk) ? 1 : 0;
+        keep(walk);
+        path_.checkpointDecays.push_back(walked);
+    }
+    if (keepFinal) {
+        keep(state);
+        path_.checkpointSteps.push_back(
+            static_cast<std::uint32_t>(steps_.size()));
+        path_.checkpointDecays.push_back(decays);
+    }
+}
+
+std::size_t
+NoiseProgram::bytes() const
+{
+    return sizeof(NoiseProgram) +
+           steps_.capacity() * sizeof(NoiseStep) +
+           pool1q_.capacity() * sizeof(Matrix2) +
+           pool2q_.capacity() * sizeof(Matrix4) +
+           active_.capacity() * sizeof(Qubit) +
+           path_.thresholds.capacity() * sizeof(double) +
+           (path_.drawnAt.capacity() + path_.checkpointSteps.capacity() +
+            path_.checkpointDecays.capacity()) *
+               sizeof(std::uint32_t) +
+           path_.states.capacity() * sizeof(Amplitude);
 }
 
 TrajectoryEvents
 NoiseProgram::evolve(StateVector& state, Rng& rng) const
 {
     TrajectoryEvents ev;
-    for (const NoiseStep& s : steps_) {
+    // Replay the path's draws until one fires. Rng::bernoulli is
+    // the very call the live steps make, so the stream advances
+    // exactly as step-by-step evolution would. Running out of draws
+    // (only a path that reaches the end can) means no event: the
+    // trajectory is the path's final state, at step size().
+    const std::vector<double>& thresholds = path_.thresholds;
+    std::size_t d = 0;
+    while (d < thresholds.size() && !rng.bernoulli(thresholds[d]))
+        ++d;
+    const bool eventFree = d == thresholds.size();
+    const std::size_t eventStep =
+        eventFree ? steps_.size() : path_.drawnAt[d] / 2;
+
+    // Restore the nearest kept state at or before the event step
+    // (none: the entry state |0...0> is step 0's), then re-apply
+    // the deterministic steps up to the event.
+    const std::vector<std::uint32_t>& kept = path_.checkpointSteps;
+    std::size_t c = kept.size();
+    while (c > 0 && kept[c - 1] > eventStep)
+        --c;
+    std::size_t i = 0;
+    if (c > 0) {
+        state.assign(pathState(c - 1));
+        i = kept[c - 1];
+        ev.decayEvents = path_.checkpointDecays[c - 1];
+        ev.replayedSteps = i;
+    }
+    for (; i < eventStep; ++i) {
+        if (applyNoEvent(steps_[i], state))
+            ++ev.decayEvents;
+    }
+    if (eventFree) {
+        ev.eventFree = true;
+        return ev;
+    }
+
+    // The event step, with the outcome the replay already drew.
+    const NoiseStep& hit = steps_[eventStep];
+    if (hit.kind == NoiseStep::Kind::DECAY) {
+        DecayDecisions scripted =
+            DecayDecisions::scripted(path_.drawnAt[d] % 2);
+        if (state.applyDecay(hit.q0, hit.a, hit.b, scripted).applied)
+            ++ev.decayEvents;
+    } else {
+        ++ev.gateErrors;
+        applyGateError(hit, state, rng);
+    }
+
+    for (i = eventStep + 1; i < steps_.size(); ++i) {
+        const NoiseStep& s = steps_[i];
         switch (s.kind) {
-          case NoiseStep::Kind::X:
-            state.applyX(s.q0);
-            break;
-          case NoiseStep::Kind::Z:
-            state.applyZ(s.q0);
-            break;
-          case NoiseStep::Kind::H:
-            state.applyH(s.q0);
-            break;
-          case NoiseStep::Kind::CX:
-            state.applyCX(s.q0, s.q1);
-            break;
-          case NoiseStep::Kind::CZ:
-            state.applyCZ(s.q0, s.q1);
-            break;
-          case NoiseStep::Kind::SWAP:
-            state.applySwap(s.q0, s.q1);
-            break;
-          case NoiseStep::Kind::MATRIX_1Q:
-            state.applyMatrix1q(pool1q_[s.matrix], s.q0);
-            break;
-          case NoiseStep::Kind::MATRIX_2Q:
-            state.applyMatrix2q(pool2q_[s.matrix], s.q0, s.q1);
-            break;
           case NoiseStep::Kind::GATE_ERROR_1Q:
-            // Uniformly random Pauli error (depolarizing,
-            // trajectory form).
-            if (rng.bernoulli(s.a)) {
-                ++ev.gateErrors;
-                applyErrorPauli(
-                    state, s.q0,
-                    static_cast<unsigned>(rng.index(3)) + 1);
-            }
-            break;
           case NoiseStep::Kind::GATE_ERROR_2Q:
-            // Two-qubit depolarizing: one of the 15 non-identity
-            // Pauli pairs, uniformly. (Charged once per gate, not
-            // per operand.)
             if (rng.bernoulli(s.a)) {
                 ++ev.gateErrors;
-                unsigned pauli_a = 0, pauli_b = 0;
-                do {
-                    pauli_a = static_cast<unsigned>(rng.index(4));
-                    pauli_b = static_cast<unsigned>(rng.index(4));
-                } while (pauli_a == 0 && pauli_b == 0);
-                applyErrorPauli(state, s.q0, pauli_a);
-                applyErrorPauli(state, s.q1, pauli_b);
+                applyGateError(s, state, rng);
             }
             break;
-          case NoiseStep::Kind::DECAY:
-            if (state.applyDecay(s.q0, s.a, s.b, rng).applied)
+          case NoiseStep::Kind::DECAY: {
+            DecayDecisions live(rng);
+            if (state.applyDecay(s.q0, s.a, s.b, live).applied)
                 ++ev.decayEvents;
+            break;
+          }
+          default:
+            applyUnitary(s, state);
             break;
         }
     }

@@ -18,6 +18,16 @@
  * lowered evolution consumes the rng stream bit-identically to the
  * un-lowered interpreter.
  *
+ * Lowering also evolves the program's no-event path once: the
+ * trajectory in which no gate error fires and no damping jump
+ * happens. Up to its first noise event every trajectory follows that
+ * path, so evolve() replays only the path's Bernoulli draws against
+ * recorded thresholds, restores the nearest recorded checkpoint
+ * state, re-applies the few deterministic steps up to the event and
+ * continues live from there (see docs/noise_model.md, "No-event path
+ * replay"). Draws and amplitudes are bit-identical to step-by-step
+ * evolution.
+ *
  * The program is immutable after lowering and evolve() keeps no
  * internal state, so one program can be shared by every worker
  * thread of the parallel runtime.
@@ -27,6 +37,7 @@
 #define QEM_NOISE_NOISE_PROGRAM_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "noise/noise_model.hh"
@@ -71,15 +82,16 @@ struct NoiseStep
         GATE_ERROR_1Q, GATE_ERROR_2Q, DECAY,
     };
 
-    Kind kind = Kind::X;
-    Qubit q0 = 0;
-    Qubit q1 = 0;
+    // Widest fields first, so a step packs into 32 bytes.
     /** errorProb for GATE_ERROR_*; decay gamma for DECAY. */
     double a = 0.0;
     /** dephasing lambda for DECAY. */
     double b = 0.0;
+    Qubit q0 = 0;
+    Qubit q1 = 0;
     /** Pool index for MATRIX_1Q / MATRIX_2Q. */
     std::uint32_t matrix = 0;
+    Kind kind = Kind::X;
 };
 
 /** Stochastic-event tallies of one trajectory evolution. */
@@ -92,6 +104,14 @@ struct TrajectoryEvents
      * population is a no-op and does not count).
      */
     std::uint64_t decayEvents = 0;
+    /**
+     * Steps this trajectory did not evolve because it restored
+     * their result from the no-event path (a checkpoint, or the
+     * final state of an event-free trajectory).
+     */
+    std::uint64_t replayedSteps = 0;
+    /** No noise event happened: the final state was copied. */
+    bool eventFree = false;
 };
 
 class NoiseProgram
@@ -133,6 +153,26 @@ class NoiseProgram
     /** Number of lowered steps (inspection / tests). */
     std::size_t size() const { return steps_.size(); }
 
+    /** The lowered steps and their matrix pools (inspection /
+     *  tests: a step-by-step interpreter can run them). */
+    const std::vector<NoiseStep>& steps() const { return steps_; }
+    const Matrix2& matrix1q(std::uint32_t i) const { return pool1q_[i]; }
+    const Matrix4& matrix2q(std::uint32_t i) const { return pool2q_[i]; }
+
+    /**
+     * States the no-event path keeps: its checkpoints, plus the
+     * final state when the path reaches the end of the program (a
+     * step whose event is certain ends it earlier). At most
+     * kMaxCheckpoints + 1, and at most kMaxPathBytes of amplitudes.
+     */
+    std::size_t pathStates() const
+    {
+        return path_.checkpointSteps.size();
+    }
+
+    /** Resident bytes of the program, path states included. */
+    std::size_t bytes() const;
+
     /**
      * Run one trajectory: @p state must be |0...0> over
      * compactQubits() on entry. Draws every stochastic decision
@@ -141,8 +181,49 @@ class NoiseProgram
      */
     TrajectoryEvents evolve(StateVector& state, Rng& rng) const;
 
+    /** Checkpoints the no-event path keeps at most (besides its
+     *  final state). */
+    static constexpr std::size_t kMaxCheckpoints = 4;
+    /** Bytes of path states one program keeps at most. */
+    static constexpr std::size_t kMaxPathBytes = std::size_t{1} << 20;
+
   private:
+    /** The trajectory in which no noise event happens. */
+    struct NoEventPath
+    {
+        /**
+         * Every draw of the path, in stream order: its event
+         * probability (>= 1: a certain event, which consumes no
+         * draw), and where it is drawn, as step * 2 + slot, where
+         * slot numbers the step's decide() calls (DECAY: 0 or 1).
+         */
+        std::vector<double> thresholds;
+        std::vector<std::uint32_t> drawnAt;
+        /**
+         * Ascending step indices of the kept states: state i is
+         * the path's state before step checkpointSteps[i] (never
+         * step 0, whose state is the entry state). An entry equal
+         * to size() is the final state.
+         */
+        std::vector<std::uint32_t> checkpointSteps;
+        /** Applied DECAY steps before each kept state. */
+        std::vector<std::uint32_t> checkpointDecays;
+        /** The kept states, 2^compactQubits amplitudes each. */
+        std::vector<Amplitude> states;
+    };
+
     NoiseProgram() = default;
+
+    void buildPath();
+    void applyUnitary(const NoiseStep& s, StateVector& state) const;
+    /**
+     * Apply step @p s as the no-event path does; true when it was a
+     * DECAY step that acted. Each event probability the step asks
+     * is appended to @p asked when it is non-null.
+     */
+    bool applyNoEvent(const NoiseStep& s, StateVector& state,
+                      std::vector<double>* asked = nullptr) const;
+    std::span<const Amplitude> pathState(std::size_t i) const;
 
     std::vector<NoiseStep> steps_;
     std::vector<Matrix2> pool1q_;
@@ -151,6 +232,7 @@ class NoiseProgram
     unsigned compactQubits_ = 0;
     std::uint64_t gates_ = 0;
     bool stochastic_ = false;
+    NoEventPath path_;
 };
 
 } // namespace qem

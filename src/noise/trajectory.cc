@@ -156,6 +156,17 @@ class CompiledTrajectoryRun final : public ShardedBackend::CompiledRun
 
     bool fastPath() const { return fastPath_; }
 
+    std::size_t bytes() const override
+    {
+        return sizeof(*this) - sizeof(NoiseProgram) + program_.bytes() +
+               measured_.capacity() * sizeof(Qubit) +
+               outcomeMap_.capacity() * sizeof(outcomeMap_[0]) +
+               (readoutP01_.capacity() + readoutP10_.capacity() +
+                analyticCdf_.capacity()) *
+                   sizeof(double) +
+               expandTable_.capacity() * sizeof(BasisState);
+    }
+
     Counts run(std::size_t shots, Rng& rng) const override
     {
         // Telemetry events accumulate in plain locals (this method
@@ -167,6 +178,8 @@ class CompiledTrajectoryRun final : public ShardedBackend::CompiledRun
         std::uint64_t decayEvents = 0;
         std::uint64_t trajectories = 0;
         std::uint64_t readoutFlips = 0;
+        std::uint64_t eventFree = 0;
+        std::uint64_t replayedSteps = 0;
 
         // With no stochastic step every trajectory is identical:
         // evolve once and draw all shots from it.
@@ -251,6 +264,8 @@ class CompiledTrajectoryRun final : public ShardedBackend::CompiledRun
                 program_.evolve(state, rng);
             gateErrors += events.gateErrors;
             decayEvents += events.decayEvents;
+            eventFree += events.eventFree ? 1 : 0;
+            replayedSteps += events.replayedSteps;
 
             state.sampleInto(rng, take, cdf, samples);
             for (BasisState compact : samples) {
@@ -332,6 +347,8 @@ class CompiledTrajectoryRun final : public ShardedBackend::CompiledRun
             m.counter("trajectory.shots").add(shots);
             m.counter("trajectory.readout_bitflips")
                 .add(readoutFlips);
+            m.counter("trajectory.event_free").add(eventFree);
+            m.counter("trajectory.replayed_steps").add(replayedSteps);
             if (fastPath_)
                 m.counter("trajectory.fastpath_runs").add(1);
         }

@@ -88,6 +88,12 @@ class CompiledIdealRun final : public ShardedBackend::CompiledRun
         return Counts::fromOutcomes(numClbits_, std::move(samples));
     }
 
+    std::size_t bytes() const override
+    {
+        return sizeof(*this) + state_.dim() * sizeof(Amplitude) +
+               outcomeMap_.capacity() * sizeof(outcomeMap_[0]);
+    }
+
   private:
     StateVector state_;
     unsigned numClbits_;

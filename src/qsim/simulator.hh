@@ -81,6 +81,10 @@ class ShardedBackend : public Backend
 
         /** Execute @p shots trials against the lowered circuit. */
         virtual Counts run(std::size_t shots, Rng& rng) const = 0;
+
+        /** Resident bytes this compiled program holds (what a
+         *  cache that retains it pays). */
+        virtual std::size_t bytes() const = 0;
     };
 
     /**

@@ -87,6 +87,15 @@ StateVector::resetTo(BasisState s)
 }
 
 void
+StateVector::assign(std::span<const Amplitude> amps)
+{
+    if (amps.size() != amps_.size())
+        throw std::invalid_argument("StateVector::assign: size "
+                                    "mismatch");
+    std::copy(amps.begin(), amps.end(), amps_.begin());
+}
+
+void
 StateVector::applyMatrix1q(const Matrix2& m, Qubit q)
 {
     kernels::apply1q(amps_.data(), amps_.size(),
@@ -278,7 +287,8 @@ StateVector::applyPhaseDamping(Qubit q, double lambda, Rng& rng)
 }
 
 DampingResult
-StateVector::applyDecay(Qubit q, double gamma, double lambda, Rng& rng)
+StateVector::applyDecay(Qubit q, double gamma, double lambda,
+                        DecayDecisions& decisions)
 {
     if (gamma <= 0.0 && lambda <= 0.0)
         return {};
@@ -301,7 +311,7 @@ StateVector::applyDecay(Qubit q, double gamma, double lambda, Rng& rng)
         // unreachable with Rng::bernoulli, which short-circuits
         // p >= 1) has zero norm, so it collapses into the jump too
         // rather than rescaling by 1/sqrt(0).
-        if (rng.bernoulli(p_jump) || 1.0 - p_jump <= 0.0) {
+        if (decisions.decide(p_jump) || 1.0 - p_jump <= 0.0) {
             // Jump K1 = [[0, sqrt(g)], [0, 0]]: move the |1>
             // component to |0>; the branch norm p_jump folds into
             // the scale. No |1> population is left, so the phase
@@ -324,7 +334,7 @@ StateVector::applyDecay(Qubit q, double gamma, double lambda, Rng& rng)
     if (lambda > 0.0 && p1 > 0.0) {
         result.applied = true;
         const double p_jump = lambda * p1;
-        if (rng.bernoulli(p_jump) || 1.0 - p_jump <= 0.0) {
+        if (decisions.decide(p_jump) || 1.0 - p_jump <= 0.0) {
             // Jump K1 = diag(0, sqrt(lambda)): project onto |1>.
             d0 = 0.0;
             d1 *= 1.0 / std::sqrt(p1);

@@ -23,6 +23,59 @@ namespace qem
 {
 
 /**
+ * Where StateVector::applyDecay() takes its jump decisions from.
+ *
+ * Each damping channel that can act asks decide(p_jump) once, decay
+ * first and then dephasing, and takes its jump branch when the
+ * answer is true. A live source answers Rng::bernoulli(p_jump); a
+ * scripted source draws nothing and answers true only for the call
+ * whose index it was given, optionally recording every p_jump it is
+ * asked. Every source runs through the same arithmetic, so a step
+ * replayed from a script is bit-identical to the live step that drew
+ * the same answers.
+ */
+class DecayDecisions
+{
+  public:
+    /** Script value meaning "no call jumps". */
+    static constexpr unsigned kNoJump = ~0u;
+
+    /** Live decisions drawn from @p rng. */
+    explicit DecayDecisions(Rng& rng) : rng_(&rng) {}
+
+    /**
+     * Scripted decisions: call number @p jump_at (0-based) jumps,
+     * every other call does not; each asked p_jump is appended to
+     * @p asked when it is non-null.
+     */
+    static DecayDecisions scripted(unsigned jump_at,
+                                   std::vector<double>* asked = nullptr)
+    {
+        DecayDecisions d;
+        d.jumpAt_ = jump_at;
+        d.asked_ = asked;
+        return d;
+    }
+
+    bool decide(double p_jump)
+    {
+        if (rng_ != nullptr)
+            return rng_->bernoulli(p_jump);
+        if (asked_ != nullptr)
+            asked_->push_back(p_jump);
+        return calls_++ == jumpAt_;
+    }
+
+  private:
+    DecayDecisions() = default;
+
+    Rng* rng_ = nullptr;
+    std::vector<double>* asked_ = nullptr;
+    unsigned jumpAt_ = kNoJump;
+    unsigned calls_ = 0;
+};
+
+/**
  * What a trajectory damping channel did to the state.
  *
  * `applied` is false exactly when the channel was a no-op on this
@@ -51,6 +104,12 @@ class StateVector
 
     Amplitude amplitude(BasisState s) const { return amps_[s]; }
     void setAmplitude(BasisState s, Amplitude a) { amps_[s] = a; }
+
+    /** All 2^n amplitudes, basis-state ordered. */
+    std::span<const Amplitude> amplitudes() const { return amps_; }
+
+    /** Overwrite every amplitude with @p amps (length dim()). */
+    void assign(std::span<const Amplitude> amps);
 
     /** Reset to the basis state @p s. */
     void resetTo(BasisState s);
@@ -125,7 +184,19 @@ class StateVector
      *         branch fired (see DampingResult).
      */
     DampingResult applyDecay(Qubit q, double gamma, double lambda,
-                             Rng& rng);
+                             Rng& rng)
+    {
+        DecayDecisions live(rng);
+        return applyDecay(q, gamma, lambda, live);
+    }
+
+    /**
+     * The arithmetic core of applyDecay(): the same step with each
+     * jump decision taken from @p decisions (see DecayDecisions).
+     * "Drew" above means "asked @p decisions".
+     */
+    DampingResult applyDecay(Qubit q, double gamma, double lambda,
+                             DecayDecisions& decisions);
 
     /** applyDecay() with no dephasing: the amplitude-damping
      *  trajectory branch alone. */

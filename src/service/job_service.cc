@@ -29,22 +29,6 @@ nowSeconds()
         .count();
 }
 
-/**
- * Rough resident-size estimate of a compiled program: the dominant
- * term is the retained pre-measurement state vector (16 bytes per
- * amplitude), plus a small per-op overhead. An estimate is enough —
- * the cache budget bounds memory order-of-magnitude, it is not an
- * allocator.
- */
-std::size_t
-compiledBytesEstimate(const Circuit& circuit)
-{
-    const unsigned bits =
-        circuit.numQubits() < 30u ? circuit.numQubits() : 30u;
-    return (std::size_t{16} << bits) +
-           circuit.ops().size() * 64 + 1024;
-}
-
 /** what() of the exception in @p error. */
 std::string
 errorMessage(const std::exception_ptr& error)
@@ -175,8 +159,7 @@ JobService::compileCached(const std::string& machine,
                 telemetry::count("runtime.compiled_jobs");
             // Backends without a compiled form cache the nullptr
             // (cheaply), so repeat submissions skip the probe too.
-            const std::size_t bytes =
-                program ? compiledBytesEstimate(circuit) : 64;
+            const std::size_t bytes = program ? program->bytes() : 64;
             return {std::move(program), bytes};
         },
         &hit);
@@ -209,6 +192,12 @@ JobService::submit(const std::string& machine,
         throw std::invalid_argument(
             "JobService: maxRetries must be >= 0, or -1 for the "
             "service default");
+    if (options.priority != JobPriority::Interactive &&
+        options.priority != JobPriority::Batch &&
+        options.priority != JobPriority::Background)
+        throw std::invalid_argument(
+            "JobService: priority must be Interactive, Batch or "
+            "Background");
     const unsigned maxRetries =
         options.maxRetries == -1
             ? options_.defaultMaxRetries

@@ -267,6 +267,36 @@ TEST_F(JobServiceTest, MaxRetriesBelowTheDefaultSentinelIsRejected)
     EXPECT_EQ(service.summary().submitted, 1u);
 }
 
+TEST_F(JobServiceTest, PriorityOutsideTheThreeClassesIsRejected)
+{
+    JobService service(serviceOptions(1));
+    service.registerMachine(
+        "ibmqx2", TrajectorySimulator(
+                      makeMachine("ibmqx2").noiseModel(), 3));
+    const Circuit circuit = physicalBv("ibmqx2", 2, 0b11);
+    JobOptions options;
+    options.tenant = "alice";
+    options.batchSize = 64;
+    for (std::uint8_t raw : {3, 7, 255}) {
+        options.priority = static_cast<JobPriority>(raw);
+        EXPECT_THROW(
+            (void)service.submit("ibmqx2", circuit, 128, options),
+            std::invalid_argument)
+            << "priority " << int(raw);
+    }
+    EXPECT_EQ(service.summary().submitted, 0u);
+
+    for (JobPriority ok : {JobPriority::Interactive, JobPriority::Batch,
+                           JobPriority::Background}) {
+        options.priority = ok;
+        JobHandle handle =
+            service.submit("ibmqx2", circuit, 128, options);
+        handle.wait();
+        EXPECT_EQ(handle.status(), JobStatus::Completed)
+            << jobPriorityName(ok);
+    }
+}
+
 TEST_F(JobServiceTest, ZeroShotJobCompletesEmpty)
 {
     JobService service(serviceOptions(1));

@@ -253,15 +253,30 @@ TEST_F(TelemetryTest, SnapshotExportsToJson)
 
 TEST_F(TelemetryTest, DisabledFacadeIsInert)
 {
+    // Compare against a snapshot instead of expecting an empty
+    // registry: reset() zeroes metrics but keeps their names, so
+    // earlier tests in the same process leave names behind.
     setEnabled(false);
+    const MetricsSnapshot before = metrics().snapshot();
+    const std::size_t spansBefore =
+        tracer().snapshot().children.size();
     count("ghost.counter", 7);
     observe("ghost.histogram", 1.0);
     gaugeSet("ghost.gauge", 1.0);
     {
         SpanTracer::Scope s = span("ghost.span");
     }
-    EXPECT_TRUE(metrics().snapshot().empty());
-    EXPECT_TRUE(tracer().snapshot().children.empty());
+    const MetricsSnapshot after = metrics().snapshot();
+    EXPECT_EQ(after.counters, before.counters);
+    EXPECT_EQ(after.gauges, before.gauges);
+    ASSERT_EQ(after.histograms.size(), before.histograms.size());
+    for (const auto& [name, hist] : before.histograms) {
+        ASSERT_EQ(after.histograms.count(name), 1u) << name;
+        EXPECT_EQ(after.histograms.at(name).count, hist.count) << name;
+    }
+    const SpanSnapshot spans = tracer().snapshot();
+    EXPECT_EQ(spans.find("ghost.span"), nullptr);
+    EXPECT_EQ(spans.children.size(), spansBefore);
 }
 
 TEST_F(TelemetryTest, EnabledFacadeRecords)
